@@ -490,8 +490,56 @@ pub fn backtrace_from<V: ProvView + ?Sized>(
     index: &BacktraceIndex,
     b: Backtrace,
 ) -> Result<Vec<SourceProvenance>> {
+    backtrace_from_counted(view, index, b, &mut BacktraceWork::default())
+}
+
+/// What one backtrace did, as counts that repeat exactly from run to run
+/// (timings on a shared box do not): the gate that the algorithm's work
+/// follows the size of the answer. Added to, never reset, so one value can
+/// accumulate over several questions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BacktraceWork {
+    /// Entries stepped through an operator, summed over operator visits
+    /// (after same-id entries were merged).
+    pub entries_in: u64,
+    /// Backtracing trees cloned.
+    pub trees_cloned: u64,
+    /// Nodes of the cloned trees.
+    pub nodes_cloned: u64,
+    /// Accessed paths expanded against an input schema (`expand_access`
+    /// calls) — a per-operator constant, independent of the entry count.
+    pub access_expansions: u64,
+    /// Entries folded into an earlier entry of the same id.
+    pub entries_merged: u64,
+}
+
+impl BacktraceWork {
+    fn clone_of(&mut self, tree: &ProvTree) -> ProvTree {
+        self.count_clone(tree);
+        tree.clone()
+    }
+
+    fn count_clone(&mut self, clone: &ProvTree) {
+        self.trees_cloned += 1;
+        self.nodes_cloned += clone.len() as u64;
+    }
+
+    fn merge_by_id(&mut self, b: &mut Backtrace) {
+        let before = b.entries.len();
+        b.merge_by_id();
+        self.entries_merged += (before - b.entries.len()) as u64;
+    }
+}
+
+/// [`backtrace_from`], adding what the walk did to `work`.
+pub fn backtrace_from_counted<V: ProvView + ?Sized>(
+    view: &V,
+    index: &BacktraceIndex,
+    b: Backtrace,
+    work: &mut BacktraceWork,
+) -> Result<Vec<SourceProvenance>> {
     let start = pebble_obs::metrics_enabled().then(std::time::Instant::now);
-    let result = backtrace_probe(view, index, b);
+    let result = backtrace_probe(view, index, b, work);
     if let Some(start) = start {
         pebble_obs::global()
             .backtrace_probe_ns
@@ -504,41 +552,43 @@ fn backtrace_probe<V: ProvView + ?Sized>(
     view: &V,
     index: &BacktraceIndex,
     b: Backtrace,
+    work: &mut BacktraceWork,
 ) -> Result<Vec<SourceProvenance>> {
     let mut worklist: Vec<(OpId, Backtrace)> = vec![(view.sink_op(), b)];
     let mut per_read: FxHashMap<OpId, Backtrace> = FxHashMap::default();
 
     while let Some((oid, mut b)) = worklist.pop() {
-        b.merge_by_id();
+        work.merge_by_id(&mut b);
         if b.entries.is_empty() {
             continue;
         }
+        work.entries_in += b.entries.len() as u64;
         let p = view.prov_op(oid);
         match p.op_type.as_str() {
             "read" => {
                 per_read.entry(oid).or_default().entries.extend(b.entries);
             }
             "filter" | "select" | "map" => {
-                let b2 = backtrace_generic(view, index, p, b)?;
+                let b2 = backtrace_generic(view, index, p, b, work)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "flatten" => {
-                let b2 = backtrace_flatten(view, index, p, b)?;
+                let b2 = backtrace_flatten(view, index, p, b, work)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "aggregation" => {
-                let b2 = backtrace_aggregation(view, index, p, b)?;
+                let b2 = backtrace_aggregation(view, index, p, b, work)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "join" => {
                 for side in 0..2 {
-                    let b2 = backtrace_join_side(view, index, p, &b, side)?;
+                    let b2 = backtrace_join_side(view, index, p, &mut b, side, work)?;
                     worklist.push((pred_of(p, side)?, b2));
                 }
             }
             "union" => {
                 for side in 0..2 {
-                    let b2 = backtrace_union_side(index, p, &b, side)?;
+                    let b2 = backtrace_union_side(index, p, &b, side, work)?;
                     worklist.push((pred_of(p, side)?, b2));
                 }
             }
@@ -552,7 +602,7 @@ fn backtrace_probe<V: ProvView + ?Sized>(
 
     let mut out: Vec<SourceProvenance> = Vec::new();
     for (read_op, mut b) in per_read {
-        b.merge_by_id();
+        work.merge_by_id(&mut b);
         let index_of = index.read(read_op)?;
         let source = view.read_source(read_op)?;
         let entries = b
@@ -589,14 +639,85 @@ fn expand_access(schema: &DataType, path: &Path) -> Vec<Path> {
     out
 }
 
-fn record_accesses(p: &OperatorProvenance, schema: &DataType, tree: &mut ProvTree) {
-    for input in &p.inputs {
-        for a in input.accessed.iter().flatten() {
-            for expanded in expand_access(schema, a) {
-                tree.access_path(&expanded, p.oid);
-            }
+/// The paths an operator visit stamps on every tree: each of `accessed`
+/// expanded against the input `schema`, in recording order. Depends only
+/// on the operator, so it is built once per visit, not per entry.
+fn expanded_accesses<'a>(
+    accessed: impl Iterator<Item = &'a Path>,
+    schema: &DataType,
+    work: &mut BacktraceWork,
+) -> Vec<Path> {
+    accessed
+        .flat_map(|a| {
+            work.access_expansions += 1;
+            expand_access(schema, a)
+        })
+        .collect()
+}
+
+/// Every accessed path of every input of `p`.
+fn all_accessed(p: &OperatorProvenance) -> impl Iterator<Item = &Path> {
+    p.inputs.iter().flat_map(|i| i.accessed.iter().flatten())
+}
+
+fn record_accesses(tree: &mut ProvTree, accesses: &[Path], oid: OpId) {
+    for a in accesses {
+        tree.access_path(a, oid);
+    }
+}
+
+/// Steps entries through one operator. `input_of` moves an entry's id to
+/// the operator's input (`None` drops the entry) and may hand a per-entry
+/// value to `finish`; `rewrite` is the part of the tree rewriting that
+/// depends on the tree alone, `finish` the part that depends on the entry.
+///
+/// Consecutive entries carrying equal trees — in a whole-store question
+/// nearly all of them, since every row matched the same pattern — are
+/// rewritten once and the result cloned, in entry order. With `consume`
+/// the trees are taken out of `entries` instead of cloned, so a lone entry
+/// is rewritten in place.
+fn step_runs<X>(
+    entries: &mut [(ItemId, ProvTree)],
+    consume: bool,
+    work: &mut BacktraceWork,
+    input_of: impl Fn(ItemId) -> Option<(ItemId, X)>,
+    mut rewrite: impl FnMut(&mut ProvTree),
+    mut finish: impl FnMut(&mut ProvTree, X),
+) -> Backtrace {
+    let mut out = Backtrace::new();
+    let mut start = 0;
+    while start < entries.len() {
+        let run_tree = &entries[start].1;
+        let end = start
+            + 1
+            + entries[start + 1..]
+                .iter()
+                .take_while(|(_, t)| t == run_tree)
+                .count();
+        let mut taken = consume.then(|| std::mem::take(&mut entries[end - 1].1));
+        let mut inputs = entries[start..end]
+            .iter()
+            .filter_map(|(id, _)| input_of(*id))
+            .peekable();
+        start = end;
+        if inputs.peek().is_none() {
+            continue;
+        }
+        let mut tree = taken
+            .take()
+            .unwrap_or_else(|| work.clone_of(&entries[end - 1].1));
+        rewrite(&mut tree);
+        while let Some((input_id, x)) = inputs.next() {
+            let mut t = if inputs.peek().is_some() {
+                work.clone_of(&tree)
+            } else {
+                std::mem::take(&mut tree)
+            };
+            finish(&mut t, x);
+            out.entries.push((input_id, t));
         }
     }
+    out
 }
 
 /// Alg. 3: generic backtracing for `filter`, `select`, and `map`.
@@ -604,44 +725,52 @@ fn backtrace_generic<V: ProvView + ?Sized>(
     view: &V,
     index: &BacktraceIndex,
     p: &OperatorProvenance,
-    b: Backtrace,
+    mut b: Backtrace,
+    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     let to_input = index.unary(p.oid)?;
     let input_schema = view.input_schema_of(p.oid, 0);
-    let mut out = Backtrace::new();
-    for (id, mut tree) in b.entries {
-        let Some(&input_id) = to_input.get(&id) else {
-            continue;
-        };
-        match &p.manipulated {
-            Some(ms) => {
-                tree.manipulate_paths(ms, p.oid);
-                // A select fully defines its output: any root attribute
-                // still referencing the select's *output* schema after the
-                // rewrite (e.g. a struct container whose children were all
-                // moved back) does not exist in the input and is dropped,
-                // so the tree conforms to the input schema (Sec. 6.2).
-                if p.op_type == "select" {
-                    if let Some(fields) = input_schema.fields() {
+    // A select fully defines its output: any root attribute still
+    // referencing the select's *output* schema after the rewrite (e.g. a
+    // struct container whose children were all moved back) does not exist
+    // in the input and is dropped, so the tree conforms to the input
+    // schema (Sec. 6.2).
+    let select_fields = (p.op_type == "select")
+        .then(|| input_schema.fields())
+        .flatten();
+    // Opaque map: no path information. Conservatively, every node of the
+    // *input schema* may have been read and restructured to produce the
+    // queried output, so all schema nodes are materialized and marked
+    // manipulated (Sec. 6.3).
+    let map_paths = match p.manipulated {
+        Some(_) => Vec::new(),
+        None => input_schema.schema_paths(),
+    };
+    let accesses = expanded_accesses(all_accessed(p), input_schema, work);
+    Ok(step_runs(
+        &mut b.entries,
+        true,
+        work,
+        |id| to_input.get(&id).map(|&input_id| (input_id, ())),
+        |tree| {
+            match &p.manipulated {
+                Some(ms) => {
+                    tree.manipulate_paths(ms, p.oid);
+                    if let Some(fields) = select_fields {
                         tree.retain_roots(|name| fields.iter().any(|f| f.name == name));
                     }
                 }
-            }
-            // Opaque map: no path information. Conservatively, every node
-            // of the *input schema* may have been read and restructured to
-            // produce the queried output, so all schema nodes are
-            // materialized and marked manipulated (Sec. 6.3).
-            None => {
-                for path in input_schema.schema_paths() {
-                    tree.insert(&path, true);
+                None => {
+                    for path in &map_paths {
+                        tree.insert(path, true);
+                    }
+                    tree.mark_all_manipulated(p.oid);
                 }
-                tree.mark_all_manipulated(p.oid);
             }
-        }
-        record_accesses(p, input_schema, &mut tree);
-        out.entries.push((input_id, tree));
-    }
-    Ok(out)
+            record_accesses(tree, &accesses, p.oid);
+        },
+        |_, ()| {},
+    ))
 }
 
 /// Alg. 2: backtracing `flatten` — generic step with `[pos]` placeholders,
@@ -651,7 +780,8 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
     view: &V,
     index: &BacktraceIndex,
     p: &OperatorProvenance,
-    b: Backtrace,
+    mut b: Backtrace,
+    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     let to_input = index.flatten(p.oid)?;
     let ms = p.manipulated.as_deref().ok_or_else(|| {
@@ -667,42 +797,131 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
         )));
     };
     let input_schema = view.input_schema_of(p.oid, 0);
-    let mut out = Backtrace::new();
-    for (id, mut tree) in b.entries {
-        let Some(&(input_id, pos)) = to_input.get(&id) else {
-            continue;
-        };
+    // Every access except the flatten element path, which is recorded at
+    // the entry's concrete position.
+    let rest_accesses =
+        expanded_accesses(all_accessed(p).filter(|a| *a != m_in), input_schema, work);
+    let mut out = step_runs(
+        &mut b.entries,
+        true,
+        work,
+        |id| to_input.get(&id).copied(),
         // Undo ⟨a_col[pos], a_new⟩, leaving a placeholder node …
-        tree.manipulate_paths(ms, p.oid);
-        // … then substitute the recorded position (mergeTrees, Alg. 2 l.2).
-        tree.fill_placeholder(m_in, pos);
-        // Record the access on the concrete element.
-        let concrete = m_in.fill_placeholder(pos);
-        tree.access_path(&concrete, p.oid);
-        record_rest_accesses(p, input_schema, &mut tree, m_in);
-        out.entries.push((input_id, tree));
-    }
-    out.merge_by_id();
+        |tree| {
+            tree.manipulate_paths(ms, p.oid);
+        },
+        |tree, pos| {
+            // … then substitute the recorded position (mergeTrees, Alg. 2
+            // l.2) and record the access on the concrete element.
+            tree.fill_placeholder(m_in, pos);
+            tree.access_path(&m_in.fill_placeholder(pos), p.oid);
+            record_accesses(tree, &rest_accesses, p.oid);
+        },
+    );
+    work.merge_by_id(&mut out);
     Ok(out)
 }
 
-/// Records accesses except the flatten element path (already recorded at a
-/// concrete position).
-fn record_rest_accesses(
-    p: &OperatorProvenance,
-    schema: &DataType,
-    tree: &mut ProvTree,
-    skip: &Path,
-) {
-    for input in &p.inputs {
-        for a in input.accessed.iter().flatten() {
-            if a == skip {
-                continue;
-            }
-            for expanded in expand_access(schema, a) {
-                tree.access_path(&expanded, p.oid);
+/// What Alg. 4 needs of one aggregation operator, worked out once per
+/// visit.
+struct AggregationStep<'a> {
+    oid: OpId,
+    /// `P.M`, each mapping with whether it is a group-key mapping (an
+    /// accessed path mapped onto itself).
+    mappings: Vec<(&'a Path, &'a Path, bool)>,
+    /// The nested collections of the output (`tweets` for `tweets[pos]`),
+    /// distinct, in `P.M` order.
+    collections: Vec<Path>,
+    /// `collection[pos]` per collection: present in a tree exactly when
+    /// the question pinpoints nested positions.
+    position_probes: Vec<Path>,
+    /// Outputs of position-less aggregates
+    /// ([`ProvView::countstar_outputs`]).
+    countstar_outputs: Vec<Path>,
+}
+
+impl<'a> AggregationStep<'a> {
+    fn new(
+        p: &'a OperatorProvenance,
+        ms: &'a [(Path, Path)],
+        countstar_outputs: Vec<Path>,
+    ) -> Self {
+        let keys = p.inputs.first().and_then(|i| i.accessed.as_deref());
+        let mut collections: Vec<Path> = Vec::new();
+        for (_, m_out) in ms.iter().filter(|(_, m_out)| m_out.has_placeholder()) {
+            let prefix = collection_prefix(m_out);
+            if !collections.contains(&prefix) {
+                collections.push(prefix);
             }
         }
+        AggregationStep {
+            oid: p.oid,
+            mappings: ms
+                .iter()
+                .map(|(m_in, m_out)| {
+                    let is_key = m_in == m_out && keys.is_some_and(|a| a.contains(m_in));
+                    (m_in, m_out, is_key)
+                })
+                .collect(),
+            position_probes: collections.iter().map(|c| c.child(Step::AnyPos)).collect(),
+            collections,
+            countstar_outputs,
+        }
+    }
+
+    /// Does the question pinpoint concrete positions inside any nested
+    /// (bag-collected) output? If so, only those positions select members;
+    /// key mappings alone do not (see module docs).
+    fn is_positional(&self, tree: &ProvTree) -> bool {
+        self.position_probes
+            .iter()
+            .any(|probe| tree.contains(probe))
+    }
+
+    /// Alg. 4 ll. 5–13 for the group member at position `p_pos`: rewrites
+    /// `t`, the member's copy of the output tree, to the input schema and
+    /// reports whether the member is in the provenance. `t` may lack the
+    /// other positions of the nested collections
+    /// ([`ProvTree::clone_at_position`]); they are removed here anyway.
+    fn rewrite_member(&self, t: &mut ProvTree, p_pos: u32, positional_query: bool) -> bool {
+        let mut in_prov = false;
+        for &(m_in, m_out, is_key) in &self.mappings {
+            if m_out.has_placeholder() {
+                // Bag nesting: the member contributes exactly to the
+                // nested item at its own position (Alg. 4 ll. 6-12).
+                let out_path = m_out.fill_placeholder(p_pos);
+                if t.contains(&out_path) {
+                    in_prov = true;
+                    t.manipulate_path(m_in, &out_path, self.oid);
+                }
+            } else if t.contains(m_out) {
+                if !is_key || !positional_query {
+                    in_prov = true;
+                }
+                t.manipulate_path(m_in, m_out, self.oid);
+            }
+        }
+        // Remove the nested collections' remaining positions (Alg. 4
+        // l. 13) — only after every mapping has been applied: several
+        // mappings may target different attributes inside the same nested
+        // collection (whole-item nesting maps one pair per attribute).
+        for prefix in &self.collections {
+            t.remove_nodes(prefix);
+        }
+        // `count(*)`-style aggregates read no attribute, so they have no
+        // entry in M; their output attributes still make every group
+        // member relevant when queried (each row feeds the count). The
+        // nodes are removed from the tree — there is no input attribute to
+        // rewrite them to.
+        for out_path in &self.countstar_outputs {
+            if t.contains(out_path) {
+                if !positional_query {
+                    in_prov = true;
+                }
+                t.remove_nodes(out_path);
+            }
+        }
+        in_prov
     }
 }
 
@@ -712,6 +931,7 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
     index: &BacktraceIndex,
     p: &OperatorProvenance,
     b: Backtrace,
+    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     // pos_flatten (Alg. 4 l. 1): ⟨ids^i, id^o⟩ → ⟨id^i, p_P, id^o⟩.
     let groups = index.agg(p.oid)?;
@@ -721,85 +941,29 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
             p.oid
         ))
     })?;
-    let input_schema = view.input_schema_of(p.oid, 0);
-    // `count(*)`-style aggregates read no attribute, so they have no entry
-    // in M; their output attributes still make every group member relevant
-    // when queried (each row feeds the count). The nodes are removed from
-    // the tree — there is no input attribute to rewrite them to (the view
-    // knows which outputs these are; see [`ProvView::countstar_outputs`]).
-    let countstar_outputs: Vec<Path> = view.countstar_outputs(p.oid);
+    let step = AggregationStep::new(p, ms, view.countstar_outputs(p.oid));
+    let accesses = expanded_accesses(all_accessed(p), view.input_schema_of(p.oid, 0), work);
     let mut out = Backtrace::new();
 
     for (out_id, tree) in &b.entries {
         let Some(member_ids) = groups.get(out_id) else {
             continue;
         };
-        // Does the query pinpoint concrete positions inside any nested
-        // (bag-collected) output? If so, only those positions select
-        // members; key mappings alone do not (see module docs).
-        let positional_query = ms.iter().any(|(_, m_out)| {
-            m_out.has_placeholder() && {
-                // A node at the collection attr exists with position child.
-                let coll = collection_prefix(m_out);
-                tree.contains(&coll.child(Step::AnyPos))
-            }
-        });
-
+        let positional_query = step.is_positional(tree);
         for (idx, &member_id) in member_ids.iter().enumerate() {
             let p_pos = idx as u32 + 1;
-            let mut t = tree.clone();
-            let mut in_prov = false;
-            // Collection removals are deferred until every mapping has
-            // been applied: several mappings may target different
-            // attributes inside the same nested collection (whole-item
-            // nesting maps one pair per attribute).
-            let mut removals: Vec<Path> = Vec::new();
-            for (m_in, m_out) in ms {
-                if m_out.has_placeholder() {
-                    // Bag nesting: the member contributes exactly to the
-                    // nested item at its own position (Alg. 4 ll. 6-12).
-                    let out_path = m_out.fill_placeholder(p_pos);
-                    if t.contains(&out_path) {
-                        in_prov = true;
-                        t.manipulate_path(m_in, &out_path, p.oid);
-                    }
-                    // Remove the nested collection's remaining positions
-                    // (Alg. 4 l. 13) — after the mapping loop.
-                    let prefix = collection_prefix(m_out);
-                    if !removals.contains(&prefix) {
-                        removals.push(prefix);
-                    }
-                } else if t.contains(m_out) {
-                    let is_key = m_in == m_out
-                        && p.inputs[0]
-                            .accessed
-                            .as_deref()
-                            .is_some_and(|a| a.contains(m_in));
-                    if !is_key || !positional_query {
-                        in_prov = true;
-                    }
-                    t.manipulate_path(m_in, m_out, p.oid);
-                }
-            }
-            for prefix in &removals {
-                t.remove_nodes(prefix);
-            }
-            for out_path in &countstar_outputs {
-                if t.contains(out_path) {
-                    if !positional_query {
-                        in_prov = true;
-                    }
-                    t.remove_nodes(out_path);
-                }
-            }
-            if !in_prov {
+            // The member's copy leaves out what l. 13 removes unread: the
+            // other members' positions.
+            let mut t = tree.clone_at_position(&step.collections, p_pos);
+            work.count_clone(&t);
+            if !step.rewrite_member(&mut t, p_pos, positional_query) {
                 continue;
             }
-            record_accesses(p, input_schema, &mut t);
+            record_accesses(&mut t, &accesses, p.oid);
             out.entries.push((member_id, t));
         }
     }
-    out.merge_by_id();
+    work.merge_by_id(&mut out);
     Ok(out)
 }
 
@@ -817,36 +981,30 @@ fn collection_prefix(m_out: &Path) -> Path {
 
 /// Join backtracing for one input side: move to that side's identifiers,
 /// undo that side's attribute copies/renames, prune nodes belonging to the
-/// other input's schema, and record the key accesses.
+/// other input's schema, and record the key accesses. The right side
+/// (`side == 1`, stepped last) takes the trees out of `b`.
 fn backtrace_join_side<V: ProvView + ?Sized>(
     view: &V,
     index: &BacktraceIndex,
     p: &OperatorProvenance,
-    b: &Backtrace,
+    b: &mut Backtrace,
     side: usize,
+    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     let assoc_index = index.binary(p.oid)?;
-    let side_of = |pair: &(Option<ItemId>, Option<ItemId>)| {
-        if side == 0 {
-            pair.0
-        } else {
-            pair.1
-        }
+    let field_names = |idx: usize| -> Vec<&str> {
+        view.input_schema_of(p.oid, idx)
+            .fields()
+            .map(|fs| fs.iter().map(|f| f.name.as_str()).collect())
+            .unwrap_or_default()
     };
     let input_schema = view.input_schema_of(p.oid, side);
-    let side_fields: Vec<String> = input_schema
-        .fields()
-        .map(|fs| fs.iter().map(|f| f.name.clone()).collect())
-        .unwrap_or_default();
+    let side_fields = field_names(side);
     // Split M by *output* attribute: result attribute names are unique —
     // left fields keep their names, clashing right fields are renamed — so
     // a mapping belongs to the left side iff its output attribute is a
     // left field name.
-    let left_fields: Vec<String> = view
-        .input_schema_of(p.oid, 0)
-        .fields()
-        .map(|fs| fs.iter().map(|f| f.name.clone()).collect())
-        .unwrap_or_default();
+    let left_fields = field_names(0);
     let ms: Vec<(Path, Path)> = p
         .manipulated
         .as_deref()
@@ -861,23 +1019,24 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
         })
         .cloned()
         .collect();
-    let mut out = Backtrace::new();
-    for (id, tree) in &b.entries {
-        let Some(input_id) = assoc_index.get(id).and_then(&side_of) else {
-            continue;
-        };
-        let mut t = tree.clone();
-        t.manipulate_paths(&ms, p.oid);
-        // Drop nodes that reference the other input's schema.
-        t.retain_roots(|name| side_fields.iter().any(|f| f == name));
-        for a in p.inputs[side].accessed.iter().flatten() {
-            for expanded in expand_access(input_schema, a) {
-                t.access_path(&expanded, p.oid);
-            }
-        }
-        out.entries.push((input_id, t));
-    }
-    Ok(out)
+    let accesses = expanded_accesses(p.inputs[side].accessed.iter().flatten(), input_schema, work);
+    Ok(step_runs(
+        &mut b.entries,
+        side == 1,
+        work,
+        |id| {
+            let &(left, right) = assoc_index.get(&id)?;
+            let input_id = if side == 0 { left } else { right };
+            input_id.map(|input_id| (input_id, ()))
+        },
+        |t| {
+            t.manipulate_paths(&ms, p.oid);
+            // Drop nodes that reference the other input's schema.
+            t.retain_roots(|name| side_fields.contains(&name));
+            record_accesses(t, &accesses, p.oid);
+        },
+        |_, ()| {},
+    ))
 }
 
 /// Union backtracing for one input side: keep the entries that originate
@@ -888,6 +1047,7 @@ fn backtrace_union_side(
     p: &OperatorProvenance,
     b: &Backtrace,
     side: usize,
+    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     let assoc_index = index.binary(p.oid)?;
     let mut out = Backtrace::new();
@@ -897,7 +1057,7 @@ fn backtrace_union_side(
         };
         let input_id = if side == 0 { pair.0 } else { pair.1 };
         if let Some(input_id) = input_id {
-            out.entries.push((input_id, tree.clone()));
+            out.entries.push((input_id, work.clone_of(tree)));
         }
     }
     Ok(out)
@@ -1384,5 +1544,106 @@ mod nest_tests {
             .unwrap()
             .1;
         assert!(k.accessed.contains(&1));
+    }
+}
+
+#[cfg(test)]
+mod position_clone_tests {
+    use super::*;
+    use crate::capture::InputProv;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Alg. 4 as it was: every member rewrites a full `clone()` of the
+    /// output tree. The position-pruned clone must give the same member
+    /// trees and the same `inProv` verdicts.
+    #[test]
+    fn pruned_clone_equals_full_clone_then_remove() {
+        // Mapping sets `(P.M, group keys, count(*) outputs)`: one nested
+        // collection, whole-item nesting (two mappings into one
+        // collection), a collection below a struct beside a second
+        // collection, and a scalar-only aggregate.
+        type Shape = (
+            &'static [(&'static str, &'static str)],
+            &'static [&'static str],
+            &'static [&'static str],
+        );
+        let shapes: [Shape; 4] = [
+            (
+                &[("name", "name"), ("work", "works[pos]")],
+                &["name"],
+                &["n"],
+            ),
+            (
+                &[("k", "k"), ("k", "ms[pos].k"), ("v", "ms[pos].v")],
+                &["k"],
+                &[],
+            ),
+            (
+                &[("k", "k"), ("w", "s.ws[pos].t"), ("a", "as[pos]")],
+                &["k"],
+                &["n"],
+            ),
+            (&[("k", "k"), ("v", "total")], &["k"], &["n"]),
+        ];
+        // Tree paths to draw from: positions 1–4 of every collection,
+        // `[pos]` placeholder children, attribute children of a collection
+        // node, keys, scalar and count(*) outputs, unrelated attributes.
+        let mut pool: Vec<String> = ["name", "k", "total", "n", "other.x", "works.len", "s.u"]
+            .map(String::from)
+            .to_vec();
+        for coll in ["works", "ms", "s.ws", "as"] {
+            pool.push(format!("{coll}[pos]"));
+            for pos in 1..=4 {
+                pool.push(format!("{coll}[{pos}]"));
+                for attr in ["title", "k", "v", "t"] {
+                    pool.push(format!("{coll}[{pos}].{attr}"));
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        let (mut pruned_smaller, mut members_in_prov) = (0, 0);
+        for case in 0..600 {
+            let (ms, keys, countstar) = shapes[case % shapes.len()];
+            let ms: Vec<(Path, Path)> = ms
+                .iter()
+                .map(|(i, o)| (Path::parse(i), Path::parse(o)))
+                .collect();
+            let p = OperatorProvenance {
+                oid: 9,
+                op_type: "aggregation".into(),
+                inputs: vec![InputProv {
+                    pred: Some(8),
+                    accessed: Some(keys.iter().map(|k| Path::parse(k)).collect()),
+                }],
+                manipulated: None,
+                assoc: ProvAssoc::Agg(Vec::new()),
+            };
+            let countstar = countstar.iter().map(|c| Path::parse(c)).collect();
+            let step = AggregationStep::new(&p, &ms, countstar);
+
+            let mut tree = ProvTree::new();
+            for _ in 0..rng.gen_range(1..12usize) {
+                let path = Path::parse(&pool[rng.gen_range(0..pool.len())]);
+                if rng.gen_bool(0.8) {
+                    tree.insert(&path, rng.gen_bool(0.7));
+                } else {
+                    tree.access_path(&path, rng.gen_range(1..4u32));
+                }
+            }
+            let positional = step.is_positional(&tree);
+            for p_pos in 1..=5 {
+                let mut full = tree.clone();
+                let mut pruned = tree.clone_at_position(&step.collections, p_pos);
+                pruned_smaller += usize::from(pruned.len() < full.len());
+                let in_prov_full = step.rewrite_member(&mut full, p_pos, positional);
+                let in_prov_pruned = step.rewrite_member(&mut pruned, p_pos, positional);
+                assert_eq!(in_prov_full, in_prov_pruned, "case {case} position {p_pos}");
+                assert_eq!(full, pruned, "case {case} position {p_pos}:\n{tree}");
+                members_in_prov += usize::from(in_prov_full);
+            }
+        }
+        // The cases exercise what they are meant to.
+        assert!(pruned_smaller > 500, "{pruned_smaller}");
+        assert!(members_in_prov > 500, "{members_in_prov}");
     }
 }

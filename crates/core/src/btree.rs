@@ -94,20 +94,22 @@ impl BNode {
         self.accessed.extend(other.accessed);
         self.manipulated.extend(other.manipulated);
         for child in other.children {
-            match self.children.iter_mut().find(|c| c.label == child.label) {
-                Some(mine) => mine.merge_from(child),
-                None => self.children.push(child),
-            }
+            merge_sibling(&mut self.children, child);
         }
-        self.sort_children();
-    }
-
-    fn sort_children(&mut self) {
-        self.children.sort_by(|a, b| a.label.cmp(&b.label));
     }
 
     fn count(&self) -> usize {
         1 + self.children.iter().map(BNode::count).sum::<usize>()
+    }
+}
+
+/// Merges `node` into `siblings`, which are sorted by label and carry each
+/// label once: into the sibling of equal label if there is one, otherwise
+/// at its sorted position.
+fn merge_sibling(siblings: &mut Vec<BNode>, node: BNode) {
+    match siblings.binary_search_by(|c| c.label.cmp(&node.label)) {
+        Ok(at) => siblings[at].merge_from(node),
+        Err(at) => siblings.insert(at, node),
     }
 }
 
@@ -152,12 +154,10 @@ impl ProvTree {
             let idx = match nodes.iter().position(|n| n.label.matches(step)) {
                 Some(i) => i,
                 None => {
-                    nodes.push(BNode::new(NodeLabel::from_step(step), contributing));
-                    nodes.sort_by(|a, b| a.label.cmp(&b.label));
-                    nodes
-                        .iter()
-                        .position(|n| n.label.matches(step))
-                        .expect("just inserted")
+                    let node = BNode::new(NodeLabel::from_step(step), contributing);
+                    let at = nodes.partition_point(|n| n.label < node.label);
+                    nodes.insert(at, node);
+                    at
                 }
             };
             nodes[idx].contributing |= contributing;
@@ -224,6 +224,50 @@ impl ProvTree {
         out
     }
 
+    /// A clone without the nested-collection positions other than `pos`:
+    /// directly below every node at one of `collections` (attribute paths;
+    /// the empty path names no node), children labelled with another
+    /// concrete position are left out together with their subtrees. For a
+    /// group member at position `pos`, Alg. 4 reads nothing of those
+    /// subtrees before it removes the collections (l. 13), provided `P.M`
+    /// names positions only through `[pos]` placeholders — which is all
+    /// capture records.
+    pub(crate) fn clone_at_position(&self, collections: &[Path], pos: u32) -> ProvTree {
+        fn go(nodes: &[BNode], below: &[&[Step]], pos: u32, in_collection: bool) -> Vec<BNode> {
+            nodes
+                .iter()
+                .filter(|n| match n.label {
+                    NodeLabel::Pos(i) => !in_collection || i == pos,
+                    _ => true,
+                })
+                .map(|n| {
+                    let rest: Vec<&[Step]> = below
+                        .iter()
+                        .filter_map(|steps| match steps.split_first() {
+                            Some((step, rest)) if n.label.matches(step) => Some(rest),
+                            _ => None,
+                        })
+                        .collect();
+                    if rest.is_empty() {
+                        return n.clone();
+                    }
+                    let is_collection = rest.iter().any(|r| r.is_empty());
+                    BNode {
+                        label: n.label.clone(),
+                        children: go(&n.children, &rest, pos, is_collection),
+                        accessed: n.accessed.clone(),
+                        manipulated: n.manipulated.clone(),
+                        contributing: n.contributing,
+                    }
+                })
+                .collect()
+        }
+        let below: Vec<&[Step]> = collections.iter().map(Path::steps).collect();
+        ProvTree {
+            roots: go(&self.roots, &below, pos, false),
+        }
+    }
+
     /// Removes all nodes matching `path` and their subtrees (Alg. 4 l. 13).
     pub fn remove_nodes(&mut self, path: &Path) {
         let _ = self.detach(path);
@@ -287,13 +331,7 @@ impl ProvTree {
                     .expect("prefix just inserted")
                     .children
             };
-            match slot.iter_mut().find(|c| c.label == node.label) {
-                Some(existing) => existing.merge_from(node),
-                None => {
-                    slot.push(node);
-                    slot.sort_by(|a, b| a.label.cmp(&b.label));
-                }
-            }
+            merge_sibling(slot, node);
         }
     }
 
@@ -364,13 +402,7 @@ impl ProvTree {
             if let Some(idx) = children.iter().position(|c| c.label == NodeLabel::AnyPos) {
                 let mut node = children.remove(idx);
                 node.label = NodeLabel::Pos(pos);
-                match children.iter_mut().find(|c| c.label == node.label) {
-                    Some(existing) => existing.merge_from(node),
-                    None => {
-                        children.push(node);
-                        children.sort_by(|a, b| a.label.cmp(&b.label));
-                    }
-                }
+                merge_sibling(children, node);
             }
         }
     }
@@ -378,12 +410,8 @@ impl ProvTree {
     /// Merges another tree into this one (same-id tree merging of Alg. 2).
     pub fn merge(&mut self, other: ProvTree) {
         for node in other.roots {
-            match self.roots.iter_mut().find(|c| c.label == node.label) {
-                Some(mine) => mine.merge_from(node),
-                None => self.roots.push(node),
-            }
+            merge_sibling(&mut self.roots, node);
         }
-        self.roots.sort_by(|a, b| a.label.cmp(&b.label));
     }
 
     /// Keeps only root attributes whose name satisfies `keep` (used by the
@@ -496,23 +524,28 @@ impl Backtrace {
         Self::default()
     }
 
-    /// Groups entries by id, merging trees of equal ids (Alg. 2 l. 2).
+    /// Groups entries by id, merging trees of equal ids (Alg. 2 l. 2); the
+    /// result is ordered by id, and the trees of one id merge in entry
+    /// order (the sort is stable).
     pub fn merge_by_id(&mut self) {
-        let mut merged: Vec<(pebble_dataflow::ItemId, ProvTree)> = Vec::new();
-        for (id, tree) in self.entries.drain(..) {
-            match merged.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, t)) => t.merge(tree),
-                None => merged.push((id, tree)),
-            }
+        if self.entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return;
         }
-        merged.sort_by_key(|(id, _)| *id);
-        self.entries = merged;
+        self.entries.sort_by_key(|(id, _)| *id);
+        self.entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1.merge(std::mem::take(&mut later.1));
+            }
+            same
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn tree(paths: &[&str]) -> ProvTree {
         let owned: Vec<Path> = paths.iter().map(|s| Path::parse(s)).collect();
@@ -626,6 +659,87 @@ mod tests {
         b.merge_by_id();
         assert_eq!(b.entries.len(), 2);
         assert_eq!(b.entries[0].1.len(), 2); // a and c under id 1
+    }
+
+    /// The first-seen linear scan `merge_by_id` replaced (quadratic in the
+    /// entry count) — kept as the reference the fast version must equal.
+    fn merge_by_id_first_seen_scan(b: &mut Backtrace) {
+        let mut merged: Vec<(pebble_dataflow::ItemId, ProvTree)> = Vec::new();
+        for (id, tree) in b.entries.drain(..) {
+            match merged.iter_mut().find(|(i, _)| *i == id) {
+                Some((_, t)) => t.merge(tree),
+                None => merged.push((id, tree)),
+            }
+        }
+        merged.sort_by_key(|(id, _)| *id);
+        b.entries = merged;
+    }
+
+    fn random_tree(rng: &mut StdRng) -> ProvTree {
+        const PATHS: [&str; 8] = [
+            "a", "a.b", "c[1].x", "c[2].x", "c[pos].y", "d.e.f", "g[3]", "h",
+        ];
+        let mut t = ProvTree::new();
+        for _ in 0..rng.gen_range(0..4usize) {
+            let path = Path::parse(PATHS[rng.gen_range(0..PATHS.len())]);
+            if rng.gen_bool(0.5) {
+                t.insert(&path, rng.gen_bool(0.5));
+            } else {
+                t.access_path(&path, rng.gen_range(1..4u32));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn merge_by_id_equals_first_seen_scan() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for case in 0..300 {
+            let n = rng.gen_range(0..40usize);
+            let id_space = rng.gen_range(1..30u64);
+            let mut entries: Vec<_> = (0..n)
+                .map(|_| (rng.gen_range(0..id_space), random_tree(&mut rng)))
+                .collect();
+            match case % 3 {
+                // Already sorted, duplicates adjacent.
+                0 => entries.sort_by_key(|(id, _)| *id),
+                // Strictly ascending: the early-out.
+                1 => {
+                    entries.sort_by_key(|(id, _)| *id);
+                    entries.dedup_by_key(|(id, _)| *id);
+                }
+                _ => {}
+            }
+            let mut fast = Backtrace {
+                entries: entries.clone(),
+            };
+            let mut reference = Backtrace { entries };
+            fast.merge_by_id();
+            merge_by_id_first_seen_scan(&mut reference);
+            assert_eq!(fast, reference, "case {case}");
+        }
+    }
+
+    /// `insert`, `merge`, `manipulate_path` and `fill_placeholder` find and
+    /// place siblings by binary search, which relies on every sibling list
+    /// being strictly ascending by label — and must keep it so.
+    #[test]
+    fn siblings_stay_sorted_by_label() {
+        fn assert_sorted(nodes: &[BNode]) {
+            assert!(nodes.windows(2).all(|w| w[0].label < w[1].label));
+            for n in nodes {
+                assert_sorted(&n.children);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..300 {
+            let mut t = random_tree(&mut rng);
+            t.merge(random_tree(&mut rng));
+            t.manipulate_path(&Path::parse("c[pos].z"), &Path::parse("a"), 5);
+            t.manipulate_path(&Path::parse("b"), &Path::parse("d.e"), 6);
+            t.fill_placeholder(&Path::parse("c[pos]"), rng.gen_range(1..4u32));
+            assert_sorted(&t.roots);
+        }
     }
 
     #[test]

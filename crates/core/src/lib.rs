@@ -32,8 +32,8 @@ pub use backend::{
     SemiringBackend, StructuralBackend, WhyNotBackend,
 };
 pub use backtrace::{
-    backtrace, backtrace_from, backtrace_with, canonical_provenance, BacktraceIndex, ProvView,
-    SourceProvenance, TracedItem,
+    backtrace, backtrace_from, backtrace_from_counted, backtrace_with, canonical_provenance,
+    BacktraceIndex, BacktraceWork, ProvView, SourceProvenance, TracedItem,
 };
 pub use btree::{BNode, Backtrace, NodeLabel, ProvTree};
 pub use capture::{

@@ -130,4 +130,11 @@ cargo run -q --release -p pebble-bench --bin load_smoke
 echo "==> load regression guard (loadbench --assert)"
 cargo run -q --release -p pebble-bench --bin loadbench -- --assert --out BENCH_8.json
 
+# Journey benchmark smoke: `benchmark/` is its own cargo workspace, so no
+# step above compiles it; an API change in pebble-core / pebble-serve would
+# break the yardstick unseen. The quick run (1/10 sizes) builds it against
+# this tree and runs every equality check and the `quick` golden pins.
+echo "==> journey benchmark smoke (benchmark/run.sh --quick)"
+bash benchmark/run.sh --quick | tail -n 1 | grep "all checks passed"
+
 echo "CI OK"
