@@ -4,7 +4,7 @@
 //! answers — at every budget, worker count, and morsel size. The budget may
 //! only change where intermediate state lives, never what the run computes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pebble_core::{backtrace, run_captured, run_captured_unfused, Backtrace, ProvTree};
 use pebble_dataflow::{
@@ -12,6 +12,10 @@ use pebble_dataflow::{
     Program, ProgramBuilder,
 };
 use pebble_nested::{Path, Value};
+
+/// Serializes the budgeted captures of this binary: the spill-fault plan is
+/// process-wide, so an armed fault would fail whichever capture spills next.
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn ctx() -> Context {
     let mut c = Context::new();
@@ -95,6 +99,7 @@ fn all_backtraces(run: &pebble_core::CapturedRun) -> String {
 /// capture layer both) reported at the tight budgets.
 #[test]
 fn budgeted_capture_is_byte_identical() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let c = ctx();
     let p = dag_program();
     let base_cfg = ExecConfig::with_partitions(3).mem_budget(0);
@@ -155,6 +160,7 @@ fn budgeted_capture_is_byte_identical() {
 /// layer (association chunk spill).
 #[test]
 fn spill_fault_is_deterministic_and_path_free() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let c = ctx();
     let p = dag_program();
     let cfg = ExecConfig::with_partitions(3).mem_budget(1);

@@ -175,6 +175,59 @@ mod tests {
     }
 
     #[test]
+    fn line_endings_and_error_positions() {
+        // CRLF endings, blank and whitespace-only lines, no final newline.
+        let p = tmp("crlf.ndjson");
+        std::fs::write(&p, "{\"a\":1}\r\n\r\n  \t\r\n  {\"a\":2}  \r\n{\"a\":3}").unwrap();
+        let items = read_ndjson(&p).unwrap();
+        let values: Vec<_> = items.iter().map(|d| d.get("a").cloned()).collect();
+        assert_eq!(values, [1, 2, 3].map(|i| Some(Value::Int(i))));
+
+        // Blank lines count towards the line number; the offset is relative
+        // to the trimmed line.
+        std::fs::write(
+            &p,
+            "\r\n{\"a\":1}\r\n\n\n  {\"a\":1,\"a\":2}\r\n{\"a\":3}\n",
+        )
+        .unwrap();
+        match read_ndjson(&p).unwrap_err() {
+            IoError::Json { line, error } => {
+                assert_eq!(line, 5);
+                assert_eq!(
+                    (error.offset, error.message.as_str()),
+                    (12, "duplicate key `a`")
+                );
+            }
+            other => panic!("unexpected {other}"),
+        }
+
+        // A truncated last line without a newline is located too.
+        std::fs::write(&p, "{\"a\":1}\n{\"a\":").unwrap();
+        match read_ndjson(&p).unwrap_err() {
+            IoError::Json { line, error } => {
+                assert_eq!(line, 2);
+                assert_eq!(
+                    (error.offset, error.message.as_str()),
+                    (5, "unexpected end")
+                );
+            }
+            other => panic!("unexpected {other}"),
+        }
+        let _ = std::fs::remove_file(p);
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_fs_error() {
+        let p = tmp("latin1.ndjson");
+        std::fs::write(&p, b"{\"a\":1}\n{\"a\":\"caf\xe9\"}\n").unwrap();
+        match read_ndjson(&p).unwrap_err() {
+            IoError::Fs(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            other => panic!("unexpected {other}"),
+        }
+        let _ = std::fs::remove_file(p);
+    }
+
+    #[test]
     fn non_object_line_rejected() {
         let p = tmp("arr.ndjson");
         std::fs::write(&p, "[1,2]\n").unwrap();

@@ -11,8 +11,14 @@
 //! Labels intern on construction and are never evicted; the table is
 //! bounded by the number of *distinct* attribute names, which is tiny
 //! (schema-sized) for any real workload.
+//!
+//! The global table is the authority for pointer identity, but its lock
+//! and SipHash are too dear to pay once per JSON key. Each thread keeps a
+//! small direct-mapped cache of handles the table gave it; a repeated name
+//! costs one FNV hash, one content check and a reference-count bump.
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -30,16 +36,54 @@ fn table() -> &'static Mutex<HashSet<Arc<str>>> {
     TABLE.get_or_init(|| Mutex::new(HashSet::new()))
 }
 
+/// Slots of the per-thread cache, 16 KiB per thread: enough that the
+/// ~60 names of the generated schemas rarely share a slot and a schema of
+/// a thousand attributes still mostly hits. Two names sharing a slot evict
+/// each other and fall through to the table — slower, never wrong.
+const CACHE_SLOTS: usize = 1024;
+
+thread_local! {
+    static CACHE: RefCell<[Option<Arc<str>>; CACHE_SLOTS]> =
+        const { RefCell::new([const { None }; CACHE_SLOTS]) };
+}
+
+/// FNV-1a of `name`, folded to a cache slot.
+fn cache_slot(name: &str) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h ^ (h >> 32)) as usize % CACHE_SLOTS
+}
+
+fn intern(name: &str) -> Arc<str> {
+    let mut t = table().lock().unwrap();
+    if let Some(existing) = t.get(name) {
+        return Arc::clone(existing);
+    }
+    let arc: Arc<str> = Arc::from(name);
+    t.insert(Arc::clone(&arc));
+    arc
+}
+
 impl Label {
     /// Interns `name`, returning the shared handle for it.
     pub fn new(name: &str) -> Self {
-        let mut t = table().lock().unwrap();
-        if let Some(existing) = t.get(name) {
-            return Label(Arc::clone(existing));
-        }
-        let arc: Arc<str> = Arc::from(name);
-        t.insert(Arc::clone(&arc));
-        Label(arc)
+        let slot = cache_slot(name);
+        // `try_with`: a label built while the thread's locals are being
+        // torn down goes straight to the table.
+        let cached = CACHE.try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            match &cache[slot] {
+                Some(hit) if **hit == *name => Arc::clone(hit),
+                _ => {
+                    let arc = intern(name);
+                    cache[slot] = Some(Arc::clone(&arc));
+                    arc
+                }
+            }
+        });
+        Label(cached.unwrap_or_else(|_| intern(name)))
     }
 
     /// The label text.
@@ -161,6 +205,40 @@ mod tests {
         let b = Label::from("text".to_string());
         assert!(Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn threads_agree_on_pointer_identity() {
+        // Each thread has its own cache; the global table keeps them on
+        // one allocation per name.
+        let names: Vec<String> = (0..1000).map(|i| format!("thread_attr_{i}")).collect();
+        let intern_all = |names: &[String]| names.iter().map(|n| Label::new(n)).collect::<Vec<_>>();
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| intern_all(&names));
+            let b = s.spawn(|| intern_all(&names));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let here = intern_all(&names);
+        for ((a, b), c) in a.iter().zip(&b).zip(&here) {
+            assert!(Arc::ptr_eq(&a.0, &b.0) && Arc::ptr_eq(&a.0, &c.0), "{a}");
+        }
+    }
+
+    #[test]
+    fn colliding_cache_slot_resolves_both_names() {
+        let first = "collide_0".to_string();
+        let second = (1..)
+            .map(|i| format!("collide_{i}"))
+            .find(|n| cache_slot(n) == cache_slot(&first))
+            .unwrap();
+        let (a, b) = (Label::new(&first), Label::new(&second));
+        for _ in 0..4 {
+            // Each lookup evicts the other name from the shared slot.
+            let (a2, b2) = (Label::new(&first), Label::new(&second));
+            assert_eq!(a2.as_str(), first);
+            assert_eq!(b2.as_str(), second);
+            assert!(Arc::ptr_eq(&a.0, &a2.0) && Arc::ptr_eq(&b.0, &b2.0));
+        }
     }
 
     #[test]

@@ -293,7 +293,10 @@ impl DataItem {
     /// Panics if an attribute name occurs twice; attribute labels must be
     /// unique within a data item.
     pub fn from_fields(fields: impl IntoIterator<Item = (impl Into<Label>, Value)>) -> Self {
-        let mut item = Self::new();
+        let fields = fields.into_iter();
+        let mut item = DataItem {
+            fields: Arc::new(Vec::with_capacity(fields.size_hint().0)),
+        };
         for (name, value) in fields {
             item.push(name, value);
         }
@@ -331,10 +334,17 @@ impl DataItem {
     pub fn push(&mut self, name: impl Into<Label>, value: Value) {
         let name = name.into();
         assert!(
-            self.get(&name).is_none(),
+            self.position(&name).is_none(),
             "duplicate attribute name `{name}` in data item"
         );
         Arc::make_mut(&mut self.fields).push((name, value));
+    }
+
+    /// Index of the attribute called `name`. Comparing interned labels
+    /// finds a match by pointer and usually rules one out by length, where
+    /// the `&str` lookups below compare content on every field.
+    fn position(&self, name: &Label) -> Option<usize> {
+        self.fields.iter().position(|(n, _)| n == name)
     }
 
     /// Builder-style variant of [`DataItem::push`].
@@ -360,10 +370,11 @@ impl DataItem {
     /// Replaces the value of `name`, or appends it if absent.
     pub fn set(&mut self, name: impl Into<Label>, value: Value) {
         let name = name.into();
-        if let Some(slot) = self.get_mut(&name) {
-            *slot = value;
-        } else {
-            Arc::make_mut(&mut self.fields).push((name, value));
+        let at = self.position(&name);
+        let fields = Arc::make_mut(&mut self.fields);
+        match at {
+            Some(i) => fields[i].1 = value,
+            None => fields.push((name, value)),
         }
     }
 
@@ -403,17 +414,20 @@ impl DataItem {
             fields: Arc::new(fields),
         };
         for (name, value) in other.fields.iter() {
-            if out.get(name).is_none() {
-                out.push(name.clone(), value.clone());
-            } else {
-                let mut candidate = format!("{name}_r");
-                while out.get(&candidate).is_some() {
-                    candidate.push_str("_r");
-                }
-                out.push(candidate, value.clone());
+            let mut name = name.clone();
+            while out.position(&name).is_some() {
+                name = Label::new(&format!("{name}_r"));
             }
+            // `name` was just checked against every field of `out`.
+            Arc::make_mut(&mut out.fields).push((name, value.clone()));
         }
         out
+    }
+
+    /// Allocated slots beyond the fields in use.
+    #[cfg(test)]
+    pub(crate) fn spare_capacity(&self) -> usize {
+        self.fields.capacity() - self.fields.len()
     }
 
     /// See [`Value::deep_size`].

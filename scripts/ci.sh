@@ -16,6 +16,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace --release
 
+# Every run above and below is --release, where debug_assert! compiles to
+# nothing. DataItem::from_parts' duplicate-label assertion is the backstop
+# behind the JSON parser's pointer-identity check, so the nested crate's
+# suite (differential corpus included) runs once in the debug profile.
+echo "==> cargo test -q -p pebble-nested (debug profile)"
+cargo test -q -p pebble-nested
+
 # Scheduler matrix: exercise the single-threaded inline path and the
 # pooled morsel path (the env knobs override ExecConfig::default, which
 # most tests and the bench harness use).
