@@ -5,16 +5,17 @@
 //!   materializing per-item provenance (the Sec. 4.3 model, which is also
 //!   what an eager Lipstick-style system pays).
 //! * `partitions` — engine scaling across partition counts (threads).
-//! * `storage_codec` — cost of persisting captured pebbles with the
-//!   varint/delta codec.
+//! * `storage_codec` — cost of persisting a captured run as a `PBSG`
+//!   segment and cold-opening it.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pebble_bench::DBLP_BASE;
-use pebble_core::{model, run_captured, storage};
+use pebble_core::{model, run_captured};
 use pebble_dataflow::{run, ExecConfig, NoSink, OpKind};
+use pebble_serve::{persist, ProvStore};
 use pebble_workloads::{dblp_context, dblp_scenarios, scenarios};
 
 fn bench_schema_level_vs_full_model(c: &mut Criterion) {
@@ -94,12 +95,12 @@ fn bench_storage_codec(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(1200));
     for s in dblp_scenarios() {
         let run = run_captured(&s.program, &ctx, cfg).unwrap();
-        let encoded = storage::encode(&run.ops);
+        let encoded = persist(&run);
         group.bench_function(BenchmarkId::new("encode", s.name), |b| {
-            b.iter(|| storage::encode(&run.ops))
+            b.iter(|| persist(&run))
         });
         group.bench_function(BenchmarkId::new("decode", s.name), |b| {
-            b.iter(|| storage::decode(&encoded).unwrap())
+            b.iter(|| ProvStore::from_bytes(&encoded).unwrap())
         });
     }
     group.finish();

@@ -26,11 +26,12 @@ fn main() {
                         run_captured(&s.program, &ctx, cfg).unwrap();
                     },
                     &mut || {
-                        // Capture and persist the pebbles, as the paper's
+                        // Capture and persist the pebbles in the segment
+                        // format the store serves, as the paper's
                         // deployment does (provenance is stored for later
                         // querying; cf. Sec. 7.3.2).
                         let r = run_captured(&s.program, &ctx, cfg).unwrap();
-                        std::hint::black_box(pebble_core::storage::encode(&r.ops));
+                        std::hint::black_box(pebble_serve::persist(&r));
                     },
                 ],
             );

@@ -108,7 +108,7 @@ pub fn overhead_pct(a: Duration, b: Duration) -> f64 {
 /// JSON object document, preserving every other top-level entry verbatim.
 ///
 /// This is what lets several bench binaries fold their numbers into one
-/// report file (`BENCH_2.json`) without a JSON dependency: each binary owns
+/// report file (`BENCH_N.json`) without a JSON dependency: each binary owns
 /// one top-level section and rewrites only that.
 pub fn merge_json_section(existing: &str, section: &str, body: &str) -> String {
     let mut entries = top_level_entries(existing);

@@ -659,8 +659,13 @@ impl ProvenanceSink for CaptureSink {
 }
 
 /// Executes `program` with structural provenance capture enabled.
+///
+/// The engine is handed the bare `CaptureSink`, not a `Tee` with a no-op
+/// second arm: `Tee::agg_batch` clones every group's identifier vector.
 pub fn run_captured(program: &Program, ctx: &Context, config: ExecConfig) -> Result<CapturedRun> {
-    run_captured_impl(program, ctx, config, run)
+    let sink = CaptureSink::new(program, ctx, &config);
+    let output = run(program, ctx, config, &sink)?;
+    finish_capture(program, sink, output)
 }
 
 /// Executes `program` with capture enabled, teeing every association batch
@@ -680,47 +685,7 @@ pub fn run_captured_with<S: pebble_dataflow::ProvenanceSink>(
     let sink = CaptureSink::new(program, ctx, &config);
     let tee = pebble_dataflow::Tee(&sink, extra);
     let output = run(program, ctx, config, &tee)?;
-    let cap_spill = sink.spill_stats();
-    let mut captured = assemble(program, sink, output)?;
-    captured.output.report.provenance = Some(provenance_stats(&captured));
-    apply_capture_spill(&mut captured.output.report, cap_spill);
-    Ok(captured)
-}
-
-/// Folds the capture layer's spill counters into the run report's `spill`
-/// section (present whenever the engine ran under a budget).
-fn apply_capture_spill(report: &mut RunReport, stats: Option<(u64, u64)>) {
-    if let (Some(section), Some((spills, bytes))) = (report.spill.as_mut(), stats) {
-        section.capture_spills = spills;
-        section.capture_spill_bytes = bytes;
-    }
-}
-
-/// Executes `program` with capture enabled and operator fusion disabled.
-///
-/// Fused and unfused executions are specified to capture byte-identical
-/// provenance; this entry point lets the metamorphic tests and the
-/// differential oracle check that equivalence directly.
-pub fn run_captured_unfused(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-) -> Result<CapturedRun> {
-    run_captured_impl(program, ctx, config, pebble_dataflow::run_unfused)
-}
-
-/// Executes `program` with capture enabled on the legacy per-operator
-/// spawning executor ([`pebble_dataflow::run_spawn`]).
-///
-/// The morsel-driven scheduler is specified to capture byte-identical
-/// provenance to this executor at every worker count; the differential
-/// oracle uses this entry point as the referee for that claim.
-pub fn run_captured_spawn(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-) -> Result<CapturedRun> {
-    run_captured_impl(program, ctx, config, pebble_dataflow::run_spawn)
+    finish_capture(program, sink, output)
 }
 
 /// Executes `program` with capture enabled under an explicit observability
@@ -740,33 +705,28 @@ pub fn run_captured_observed(
 ) -> (Result<CapturedRun>, RunReport) {
     let sink = CaptureSink::new(program, ctx, &config);
     let (result, mut report) = pebble_dataflow::run_observed(program, ctx, config, &sink, obs);
-    let cap_spill = sink.spill_stats();
-    let run = result.and_then(|output| assemble(program, sink, output));
-    match run {
-        Ok(mut run) => {
-            let stats = provenance_stats(&run);
-            report.provenance = Some(stats.clone());
-            run.output.report.provenance = Some(stats);
-            apply_capture_spill(&mut report, cap_spill);
-            apply_capture_spill(&mut run.output.report, cap_spill);
-            (Ok(run), report)
-        }
-        Err(e) => (Err(e), report),
+    let run = result.and_then(|output| finish_capture(program, sink, output));
+    if let Ok(run) = &run {
+        // A successful run's output carries this same report; take over
+        // the two sections the capture tail just filled in.
+        report.provenance = run.output.report.provenance.clone();
+        report.spill = run.output.report.spill.clone();
     }
+    (run, report)
 }
 
-fn run_captured_impl(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-    exec: fn(&Program, &Context, ExecConfig, &CaptureSink) -> Result<RunOutput>,
-) -> Result<CapturedRun> {
-    let sink = CaptureSink::new(program, ctx, &config);
-    let output = exec(program, ctx, config, &sink)?;
+/// The tail every capturing entry point shares: turns the sink's tables
+/// into a [`CapturedRun`] and completes its run report with the exact
+/// provenance sizes and, under a budget, the capture layer's spill counters
+/// (folded into the engine's `spill` section).
+fn finish_capture(program: &Program, sink: CaptureSink, output: RunOutput) -> Result<CapturedRun> {
     let cap_spill = sink.spill_stats();
     let mut run = assemble(program, sink, output)?;
     run.output.report.provenance = Some(provenance_stats(&run));
-    apply_capture_spill(&mut run.output.report, cap_spill);
+    if let (Some(section), Some((spills, bytes))) = (run.output.report.spill.as_mut(), cap_spill) {
+        section.capture_spills = spills;
+        section.capture_spill_bytes = bytes;
+    }
     Ok(run)
 }
 

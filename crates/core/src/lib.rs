@@ -23,7 +23,6 @@ pub mod pattern;
 pub mod pattern_opt;
 pub mod pattern_parse;
 pub mod semiring;
-pub mod storage;
 pub mod whynot;
 
 pub use analysis::{co_access_pairs, AuditReport, Heatmap, ItemUsage};
@@ -37,8 +36,8 @@ pub use backtrace::{
 };
 pub use btree::{BNode, Backtrace, NodeLabel, ProvTree};
 pub use capture::{
-    run_captured, run_captured_observed, run_captured_spawn, run_captured_unfused,
-    run_captured_with, CapturedRun, InputProv, OperatorProvenance, ProvAssoc,
+    run_captured, run_captured_observed, run_captured_with, CapturedRun, InputProv,
+    OperatorProvenance, ProvAssoc,
 };
 pub use pattern::{EdgeKind, PatternNode, TreePattern, ValuePred};
 pub use pattern_parse::PatternParseError;

@@ -15,12 +15,11 @@
 use std::sync::Arc;
 
 use pebble_core::{
-    backtrace, canonical_provenance, run_captured, run_captured_unfused, PatternNode, ProvTree,
-    TreePattern,
+    backtrace, canonical_provenance, run_captured, PatternNode, ProvTree, TreePattern,
 };
 use pebble_dataflow::{
-    context::items_of, run, run_unfused, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey,
-    MapUdf, NamedExpr, NoSink, Program, ProgramBuilder,
+    context::items_of, run, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, MapUdf,
+    NamedExpr, NoSink, Program, ProgramBuilder,
 };
 use pebble_nested::{json, Path, Value};
 
@@ -155,8 +154,8 @@ fn capture_on_off_outputs_are_byte_identical() {
                 "{name} p={parts}: serialized bytes differ"
             );
 
-            let plain_unfused = run_unfused(&p, &c, config, &NoSink).unwrap();
-            let captured_unfused = run_captured_unfused(&p, &c, config).unwrap();
+            let plain_unfused = run(&p, &c, config.fusion(false), &NoSink).unwrap();
+            let captured_unfused = run_captured(&p, &c, config.fusion(false)).unwrap();
             assert_eq!(
                 plain_unfused.rows, captured_unfused.output.rows,
                 "{name} p={parts}: captured unfused run differs from plain"
@@ -183,7 +182,10 @@ fn backtrace_answers_invariant_under_partitioning_and_fusion() {
             let config = ExecConfig::with_partitions(parts);
             for (mode, captured) in [
                 ("fused", run_captured(&p, &c, config).unwrap()),
-                ("unfused", run_captured_unfused(&p, &c, config).unwrap()),
+                (
+                    "unfused",
+                    run_captured(&p, &c, config.fusion(false)).unwrap(),
+                ),
             ] {
                 // Whole-item trace of the first output row.
                 let row = &captured.output.rows[0];

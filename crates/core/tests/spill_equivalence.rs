@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use pebble_core::{backtrace, run_captured, run_captured_unfused, Backtrace, ProvTree};
+use pebble_core::{backtrace, run_captured, Backtrace, ProvTree};
 use pebble_dataflow::{
     context::items_of, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, MapUdf, NamedExpr,
     Program, ProgramBuilder,
@@ -147,7 +147,7 @@ fn budgeted_capture_is_byte_identical() {
         assert!(spill.capture_spill_bytes > 0);
 
         // Fusion stays transparent under a budget too.
-        let unfused = run_captured_unfused(&p, &c, cfg).unwrap();
+        let unfused = run_captured(&p, &c, cfg.fusion(false)).unwrap();
         assert_eq!(baseline.output.rows, unfused.output.rows);
         for (b, a) in baseline.ops.iter().zip(&unfused.ops) {
             assert_eq!(b.assoc, a.assoc, "budget={budget} unfused: op #{}", b.oid);

@@ -107,9 +107,18 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 impl EngineError {
+    /// The plan rejection for an operator whose `needed` output partitions
+    /// exceed the `max` an item identifier's 16-bit partition field can
+    /// address.
+    pub(crate) fn partition_overflow(op: u32, op_type: &str, needed: usize, max: usize) -> Self {
+        EngineError::InvalidPlan(format!(
+            "operator #{op} ({op_type}) needs {needed} output partitions, item ids address at most {max}"
+        ))
+    }
+
     /// The operator a runtime error is attributed to, when it has one.
-    /// The executors use this to pick the deterministic winner when
-    /// several partitions fail concurrently.
+    /// The scheduler uses this to pick the deterministic winner when
+    /// several morsels fail concurrently.
     pub fn op(&self) -> Option<u32> {
         match self {
             EngineError::UnknownOperator(op)
@@ -157,6 +166,11 @@ mod tests {
             (
                 EngineError::InvalidPlan("two sinks".into()),
                 "invalid plan: two sinks",
+            ),
+            (
+                EngineError::partition_overflow(2, "union", 80_000, 65_536),
+                "invalid plan: operator #2 (union) needs 80000 output partitions, \
+                 item ids address at most 65536",
             ),
             (
                 EngineError::UnresolvedPath {

@@ -6,9 +6,7 @@
 //! **morsels** (row ranges) that workers pull from a shared queue until the
 //! stage drains. Units whose inputs are ready are scheduled concurrently,
 //! so independent DAG branches (e.g. both join inputs) overlap instead of
-//! running serially, and no threads are spawned or joined per operator
-//! (the legacy per-operator executor survives as [`crate::spawn`] for
-//! differential testing and benchmarking).
+//! running serially, and no threads are spawned or joined per operator.
 //!
 //! **Determinism.** Morsel→logical-partition assignment is static: a morsel
 //! computes its output with a partition-local [`IdGen`] starting at
@@ -16,8 +14,12 @@
 //! together in morsel order, adding each partition's running sequence
 //! offset to the produced identifiers. Identifiers, association tables,
 //! and sink batch order are therefore byte-identical to a single-threaded
-//! execution at any worker count and any morsel size (the differential
-//! oracle checks this against the legacy executor).
+//! execution at any worker count and any morsel size. The *referee shape*
+//! `workers(1).morsel_rows(usize::MAX)` is that single-threaded execution:
+//! one morsel per partition, run inline in task order, so every stitching
+//! offset is zero and identifiers are final as the kernels produce them.
+//! The determinism tests and the differential oracle compare every other
+//! shape against it.
 //!
 //! **Skew.** Morsel boundaries are recomputed per unit from the *actual*
 //! row counts of its input partitions, so a partition fattened by an
@@ -100,7 +102,7 @@ pub struct Row {
     pub item: DataItem,
 }
 
-pub(crate) type Partitions = Vec<Vec<Row>>;
+type Partitions = Vec<Vec<Row>>;
 
 /// A unit's materialized output: resident in memory, or spilled to disk as
 /// checksummed row blocks. Consumers plan one job per morsel (memory) or
@@ -167,7 +169,7 @@ const INLINE_ROWS: usize = 512;
 /// (and thus by [`ExecConfig::with_partitions`]): `PEBBLE_PARTITIONS`,
 /// `PEBBLE_WORKERS`, `PEBBLE_MORSEL_ROWS`, `PEBBLE_COLUMNAR`, and
 /// `PEBBLE_MEM_BUDGET` (with `PEBBLE_SPILL_DIR` naming where spilled
-/// state goes).
+/// state goes) — except `fusion`, which only tests turn off.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
     /// Number of logical partitions. Identifiers depend on this (a
@@ -197,11 +199,45 @@ pub struct ExecConfig {
     /// and is re-read morsel-at-a-time. Rows, identifiers, association
     /// tables, and backtraces are byte-identical at every budget.
     pub mem_budget_bytes: usize,
+    /// Fuse maximal single-consumer chains of per-row operators into one
+    /// unit (default `true`, no environment override). With `false` every
+    /// operator runs as its own stage and materializes its output rows;
+    /// identifiers and captured provenance are specified byte-identical
+    /// either way, and the tests and the differential oracle turn fusion
+    /// off to verify that claim rather than assume it.
+    pub fusion: bool,
 }
 
 /// Hard ceiling on the logical partition count: a partition index must fit
 /// the 16-bit field of an [`ItemId`].
 const MAX_PARTITIONS: usize = 1 << 16;
+
+/// Brings a requested partition count into `1..=MAX_PARTITIONS` (`0` means
+/// "use one partition"), warning once per process when it had to clamp.
+fn clamp_partitions(requested: usize) -> usize {
+    if requested > MAX_PARTITIONS {
+        diag::warn_once(
+            "partitions.clamp",
+            &format!("clamping partitions={requested} to {MAX_PARTITIONS}"),
+        );
+    }
+    requested.clamp(1, MAX_PARTITIONS)
+}
+
+/// Fixes an operator's output partition count, rejecting one whose indices
+/// would overflow the 16-bit partition field of an [`ItemId`] into the
+/// operator field (aliasing identifiers of partition `p - 65 536`).
+fn checked_out_parts(op: &Operator, out_parts: usize) -> Result<usize> {
+    if out_parts > MAX_PARTITIONS {
+        return Err(EngineError::partition_overflow(
+            op.id,
+            op.kind.type_name(),
+            out_parts,
+            MAX_PARTITIONS,
+        ));
+    }
+    Ok(out_parts)
+}
 
 /// Reads a numeric environment knob. A missing variable is simply unset;
 /// a present-but-invalid value (non-numeric, negative) falls back to the
@@ -227,14 +263,7 @@ fn default_parallelism() -> usize {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        let mut partitions = env_knob("PEBBLE_PARTITIONS").unwrap_or_else(default_parallelism);
-        if partitions > MAX_PARTITIONS {
-            diag::warn_once(
-                "PEBBLE_PARTITIONS.clamp",
-                &format!("clamping PEBBLE_PARTITIONS={partitions} to {MAX_PARTITIONS}"),
-            );
-            partitions = MAX_PARTITIONS;
-        }
+        let partitions = env_knob("PEBBLE_PARTITIONS").unwrap_or_else(default_parallelism);
         // Boolean knob with the same clamp-and-warn contract as the other
         // env overrides: invalid values warn once and fall back to the row
         // path; values above 1 clamp to "on" with a warning.
@@ -251,13 +280,13 @@ impl Default for ExecConfig {
             None => false,
         };
         ExecConfig {
-            // `0` (explicit or from clamping a negative value) means "use
-            // one partition"; `workers`/`morsel_rows` keep `0` as "auto".
-            partitions: partitions.max(1),
+            // `workers`/`morsel_rows` keep `0` as "auto".
+            partitions: clamp_partitions(partitions),
             workers: env_knob("PEBBLE_WORKERS").unwrap_or(0),
             morsel_rows: env_knob("PEBBLE_MORSEL_ROWS").unwrap_or(0),
             columnar,
             mem_budget_bytes: env_knob("PEBBLE_MEM_BUDGET").unwrap_or(0),
+            fusion: true,
         }
     }
 }
@@ -267,7 +296,7 @@ impl ExecConfig {
     /// overridable) worker and morsel settings.
     pub fn with_partitions(partitions: usize) -> Self {
         ExecConfig {
-            partitions: partitions.max(1),
+            partitions: clamp_partitions(partitions),
             ..ExecConfig::default()
         }
     }
@@ -296,8 +325,14 @@ impl ExecConfig {
         self
     }
 
+    /// Enables or disables operator fusion (builder style).
+    pub fn fusion(mut self, fusion: bool) -> Self {
+        self.fusion = fusion;
+        self
+    }
+
     /// Resolved worker count.
-    pub(crate) fn effective_workers(&self) -> usize {
+    fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
         } else {
@@ -379,22 +414,7 @@ pub fn run<S: ProvenanceSink>(
     config: ExecConfig,
     sink: &S,
 ) -> Result<RunOutput> {
-    run_with_fusion(program, ctx, config, sink, true, &ObsConfig::from_env()).0
-}
-
-/// Executes `program` with operator fusion disabled: every operator runs as
-/// its own stage and materializes its output rows.
-///
-/// Identifiers and captured provenance are specified to be byte-identical
-/// to the fused [`run`]; this entry point exists so tests and the
-/// differential oracle can verify that claim rather than assume it.
-pub fn run_unfused<S: ProvenanceSink>(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-    sink: &S,
-) -> Result<RunOutput> {
-    run_with_fusion(program, ctx, config, sink, false, &ObsConfig::from_env()).0
+    run_observed(program, ctx, config, sink, &ObsConfig::from_env()).0
 }
 
 /// Executes `program` with an explicit observability configuration.
@@ -408,29 +428,6 @@ pub fn run_observed<S: ProvenanceSink>(
     ctx: &Context,
     config: ExecConfig,
     sink: &S,
-    obs: &ObsConfig,
-) -> (Result<RunOutput>, RunReport) {
-    run_with_fusion(program, ctx, config, sink, true, obs)
-}
-
-/// [`run_unfused`] with an explicit observability configuration; see
-/// [`run_observed`] for the report semantics.
-pub fn run_unfused_observed<S: ProvenanceSink>(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-    sink: &S,
-    obs: &ObsConfig,
-) -> (Result<RunOutput>, RunReport) {
-    run_with_fusion(program, ctx, config, sink, false, obs)
-}
-
-fn run_with_fusion<S: ProvenanceSink>(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-    sink: &S,
-    fuse: bool,
     obs_cfg: &ObsConfig,
 ) -> (Result<RunOutput>, RunReport) {
     let ops = program.operators();
@@ -440,12 +437,12 @@ fn run_with_fusion<S: ProvenanceSink>(
             // The program was rejected before execution: the report still
             // describes its shape, with zero counts everywhere.
             let zeros = vec![0usize; ops.len()];
-            let mut report = base_report(ops, &zeros, ctx, &config, "pool", S::ENABLED, Some(&e));
+            let mut report = base_report(ops, &zeros, ctx, &config, S::ENABLED, Some(&e));
             report.metrics = obs_cfg.metrics;
             return (Err(e), report);
         }
     };
-    let mut scheduler = Scheduler::new(program, ops, ctx, config, sink, fuse, obs_cfg);
+    let mut scheduler = Scheduler::new(program, ops, ctx, config, sink, obs_cfg);
     let result = scheduler.execute();
     let mut report = scheduler.build_report(result.as_ref().err());
     finish_trace(&scheduler.obs, obs_cfg, &mut report);
@@ -497,17 +494,16 @@ fn run_with_fusion<S: ProvenanceSink>(
 /// failed runs, where downstream counts are simply zero. Association-table
 /// sizes are estimates from the counts and each operator's association
 /// shape; capture runs overwrite `provenance` with exact totals afterwards.
-pub(crate) fn base_report(
+fn base_report(
     ops: &[Operator],
     op_counts: &[usize],
     ctx: &Context,
     config: &ExecConfig,
-    executor: &str,
     capture: bool,
     error: Option<&EngineError>,
 ) -> RunReport {
     let mut report = RunReport {
-        executor: executor.to_string(),
+        executor: "pool".to_string(),
         outcome: if error.is_some() { "error" } else { "ok" }.to_string(),
         error: error.map(|e| e.to_string()),
         partitions: config.partitions as u64,
@@ -599,7 +595,7 @@ struct Unit {
     consumers: Vec<usize>,
 }
 
-pub(crate) fn is_per_row(kind: &OpKind) -> bool {
+fn is_per_row(kind: &OpKind) -> bool {
     matches!(
         kind,
         OpKind::Filter { .. } | OpKind::Select { .. } | OpKind::Map { .. }
@@ -610,7 +606,7 @@ pub(crate) fn is_per_row(kind: &OpKind) -> bool {
 /// operators with consecutive ids where every link's producer feeds *only*
 /// the next operator and is not the program sink. Returns 1 when nothing
 /// can be fused onto the start operator.
-pub(crate) fn fusable_chain_len(
+fn fusable_chain_len(
     ops: &[Operator],
     sink: OpId,
     consumers: &FxHashMap<OpId, Vec<OpId>>,
@@ -683,7 +679,7 @@ fn plan_units(
 /// padded with empty trailing partitions when the source is smaller than
 /// the partition count, so the output partition count is always exactly
 /// `parts` regardless of input size.
-pub(crate) fn read_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+fn read_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     let chunk = len.div_ceil(parts).max(1);
     (0..parts)
         .map(|p| (p * chunk).min(len)..((p + 1) * chunk).min(len))
@@ -722,12 +718,12 @@ pub(crate) enum OwnedStage {
     Map(MapUdf),
 }
 
-pub(crate) struct ChainKernel {
-    pub(crate) ops: Vec<OpId>,
-    pub(crate) stages: Vec<OwnedStage>,
+struct ChainKernel {
+    ops: Vec<OpId>,
+    stages: Vec<OwnedStage>,
 }
 
-pub(crate) fn owned_stage(kind: &OpKind) -> Result<OwnedStage> {
+fn owned_stage(kind: &OpKind) -> Result<OwnedStage> {
     match kind {
         OpKind::Filter { predicate } => Ok(OwnedStage::Filter {
             can_panic: predicate.contains_udf(),
@@ -757,12 +753,12 @@ fn guard<T>(can_panic: bool, f: impl FnOnce() -> T) -> std::result::Result<T, St
     }
 }
 
-pub(crate) struct GroupKernel {
-    pub(crate) op: OpId,
-    pub(crate) keys: Vec<GroupKey>,
-    pub(crate) aggs: Vec<AggSpec>,
-    pub(crate) key_labels: Vec<Label>,
-    pub(crate) agg_labels: Vec<Label>,
+struct GroupKernel {
+    op: OpId,
+    keys: Vec<GroupKey>,
+    aggs: Vec<AggSpec>,
+    key_labels: Vec<Label>,
+    agg_labels: Vec<Label>,
 }
 
 /// Join hash table keyed by the *cached* key hash.
@@ -792,7 +788,7 @@ impl JoinBuild {
     }
 
     /// Matching build rows for a probe key with a pre-computed hash.
-    pub(crate) fn get(&self, key: &[&Value], hash: u64) -> Option<&[Row]> {
+    fn get(&self, key: &[&Value], hash: u64) -> Option<&[Row]> {
         let bucket = self.map.get(&hash)?;
         bucket
             .iter()
@@ -894,9 +890,9 @@ pub(crate) enum StageAssoc {
 /// kept is the one an unfused execution would report: the earliest failing
 /// stage, and within it the first failing row in row order.
 pub(crate) struct ChainErr {
-    pub(crate) stage: usize,
-    pub(crate) input_local: ItemId,
-    pub(crate) message: String,
+    stage: usize,
+    input_local: ItemId,
+    message: String,
 }
 
 fn read_morsel(op: OpId, pidx: usize, items: &[DataItem]) -> TaskOut {
@@ -911,7 +907,7 @@ fn read_morsel(op: OpId, pidx: usize, items: &[DataItem]) -> TaskOut {
     TaskOut::Read { rows }
 }
 
-pub(crate) fn chain_morsel<S: ProvenanceSink>(
+fn chain_morsel<S: ProvenanceSink>(
     kernel: &ChainKernel,
     pidx: usize,
     rows: &[Row],
@@ -1009,7 +1005,7 @@ pub(crate) fn chain_morsel<S: ProvenanceSink>(
     })
 }
 
-pub(crate) fn flatten_morsel<S: ProvenanceSink>(
+fn flatten_morsel<S: ProvenanceSink>(
     op: OpId,
     pidx: usize,
     col: &Path,
@@ -1038,7 +1034,7 @@ pub(crate) fn flatten_morsel<S: ProvenanceSink>(
     Ok(TaskOut::Flatten { rows: out, assoc })
 }
 
-pub(crate) fn join_key(item: &DataItem, paths: &[Path]) -> Option<Vec<Value>> {
+fn join_key(item: &DataItem, paths: &[Path]) -> Option<Vec<Value>> {
     let mut key = Vec::with_capacity(paths.len());
     for p in paths {
         match p.eval(item) {
@@ -1051,7 +1047,7 @@ pub(crate) fn join_key(item: &DataItem, paths: &[Path]) -> Option<Vec<Value>> {
 
 /// Borrowing variant of [`join_key`]: probe rows hash and compare their
 /// key without cloning a single value.
-pub(crate) fn join_key_ref<'a>(item: &'a DataItem, paths: &[Path]) -> Option<Vec<&'a Value>> {
+fn join_key_ref<'a>(item: &'a DataItem, paths: &[Path]) -> Option<Vec<&'a Value>> {
     let mut key = Vec::with_capacity(paths.len());
     for p in paths {
         match p.eval(item) {
@@ -1066,7 +1062,7 @@ pub(crate) fn join_key_ref<'a>(item: &'a DataItem, paths: &[Path]) -> Option<Vec
 /// computing each row's key hash exactly once. Rows are visited in
 /// partition order, so per-key match lists preserve the deterministic
 /// global row order.
-pub(crate) fn join_build(right: &Partitions, right_paths: &[Path]) -> JoinBuild {
+fn join_build(right: &Partitions, right_paths: &[Path]) -> JoinBuild {
     let mut build = JoinBuild::default();
     for partition in right {
         for row in partition {
@@ -1079,7 +1075,7 @@ pub(crate) fn join_build(right: &Partitions, right_paths: &[Path]) -> JoinBuild 
     build
 }
 
-pub(crate) fn join_probe<S: ProvenanceSink>(
+fn join_probe<S: ProvenanceSink>(
     op: OpId,
     pidx: usize,
     build: &JoinBuild,
@@ -1113,7 +1109,7 @@ pub(crate) fn join_probe<S: ProvenanceSink>(
 /// Columnar probe: key values and cached hashes are computed
 /// column-at-a-time for the whole morsel before any table lookup. Output
 /// rows, ids, and associations are identical to [`join_probe`].
-pub(crate) fn join_probe_columnar<S: ProvenanceSink>(
+fn join_probe_columnar<S: ProvenanceSink>(
     op: OpId,
     pidx: usize,
     build: &JoinBuild,
@@ -1285,7 +1281,7 @@ fn grace_probe_morsel(
     Ok(TaskOut::GraceProbe(out))
 }
 
-pub(crate) fn union_morsel<S: ProvenanceSink>(
+fn union_morsel<S: ProvenanceSink>(
     op: OpId,
     out_pidx: usize,
     is_left: bool,
@@ -1314,7 +1310,7 @@ pub(crate) fn union_morsel<S: ProvenanceSink>(
 }
 
 /// Hash-partitions a morsel's rows into `parts` buckets by grouping key.
-pub(crate) fn shuffle_morsel(keys: &[GroupKey], parts: usize, rows: &[Row]) -> Vec<Vec<Row>> {
+fn shuffle_morsel(keys: &[GroupKey], parts: usize, rows: &[Row]) -> Vec<Vec<Row>> {
     let mut buckets: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
     for row in rows {
         let key: Vec<Value> = keys.iter().map(|k| key_value(&row.item, &k.path)).collect();
@@ -1327,7 +1323,7 @@ pub(crate) fn shuffle_morsel(keys: &[GroupKey], parts: usize, rows: &[Row]) -> V
 /// Columnar shuffle: bucket hashes are computed column-at-a-time over the
 /// morsel's key columns without cloning a single key value; buckets are
 /// bit-identical to [`shuffle_morsel`]'s.
-pub(crate) fn shuffle_morsel_columnar(
+fn shuffle_morsel_columnar(
     keys: &crate::vector::ColKeys,
     parts: usize,
     rows: &[Row],
@@ -1339,7 +1335,7 @@ pub(crate) fn shuffle_morsel_columnar(
     buckets
 }
 
-pub(crate) fn agg_bucket<S: ProvenanceSink>(
+fn agg_bucket<S: ProvenanceSink>(
     kernel: &GroupKernel,
     bucket: usize,
     rows: &[Row],
@@ -1390,9 +1386,9 @@ pub(crate) fn agg_bucket<S: ProvenanceSink>(
 /// A produced group row together with its grouping key (used for the
 /// canonical output ordering).
 pub(crate) struct KeyedRow {
-    pub(crate) key: Vec<Value>,
-    pub(crate) id: ItemId,
-    pub(crate) item: DataItem,
+    key: Vec<Value>,
+    id: ItemId,
+    item: DataItem,
 }
 
 // ---------------------------------------------------------------------------
@@ -1536,11 +1532,10 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
         ctx: &'a Context,
         config: ExecConfig,
         sink: &'a S,
-        fuse: bool,
         obs_cfg: &ObsConfig,
     ) -> Self {
         let consumers = program.consumers();
-        let units = plan_units(ops, program.sink(), &consumers, fuse);
+        let units = plan_units(ops, program.sink(), &consumers, config.fusion);
         let states = units
             .iter()
             .map(|u| UnitState {
@@ -1687,6 +1682,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                     .source(source)
                     .ok_or_else(|| EngineError::UnknownSource(source.clone()))?;
                 let op = head.id;
+                self.states[u].out_parts = checked_out_parts(head, self.parts)?;
                 let total = items_src.len();
                 let items: Arc<Vec<DataItem>> = Arc::new(items_src.to_vec());
                 let morsel = self.config.morsel_len(total);
@@ -1702,7 +1698,6 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                         ));
                     }
                 }
-                self.states[u].out_parts = self.parts;
                 self.dispatch(u, Phase::Single, jobs, total)
             }
             OpKind::Filter { .. } | OpKind::Select { .. } | OpKind::Map { .. } => {
@@ -1807,6 +1802,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                 let left = self.input(head.inputs[0])?;
                 let right = self.input(head.inputs[1])?;
                 let offset = left.n_parts();
+                self.states[u].out_parts = checked_out_parts(head, offset + right.n_parts())?;
                 // Both sides share one morsel length derived from the
                 // combined cardinality.
                 let total = left.total_rows() + right.total_rows();
@@ -1817,7 +1813,6 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                     });
                     jobs.extend(self.plan_row_jobs(input, pidx_offset, total, kernel));
                 }
-                self.states[u].out_parts = left.n_parts() + right.n_parts();
                 self.dispatch(u, Phase::Single, jobs, total)
             }
             OpKind::GroupAggregate { keys, aggs } => {
@@ -3154,7 +3149,6 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
             &self.op_counts,
             self.ctx,
             &self.config,
-            "pool",
             S::ENABLED,
             error,
         );
@@ -3205,7 +3199,7 @@ fn partition_rows(parts: &Partitions) -> usize {
 /// `collect_list` keeps one value per group row — including `Null` for rows
 /// where the input path is missing — so that nested positions stay aligned
 /// with the group's identifier list in the operator provenance (Tab. 6).
-pub(crate) fn eval_agg(agg: &AggSpec, members: &[&Row]) -> Value {
+fn eval_agg(agg: &AggSpec, members: &[&Row]) -> Value {
     let values = |skip_null: bool| {
         members.iter().filter_map(move |r| {
             let v = agg.input.eval(&r.item).cloned().unwrap_or(Value::Null);
@@ -3458,9 +3452,85 @@ mod tests {
         let c = ctx();
         let cfg = ExecConfig::with_partitions(3);
         let fused = run(&p, &c, cfg, &NoSink).unwrap();
-        let unfused = run_unfused(&p, &c, cfg, &NoSink).unwrap();
+        let unfused = run(&p, &c, cfg.fusion(false), &NoSink).unwrap();
         assert_eq!(fused.rows, unfused.rows);
         assert_eq!(fused.op_counts, unfused.op_counts);
+    }
+
+    /// Fusion is on by default and is the one config field no environment
+    /// variable reaches.
+    #[test]
+    fn fusion_defaults_on_and_ignores_the_environment() {
+        assert!(ExecConfig::default().fusion);
+        // Names no knob reads: the real `PEBBLE_*` variables stay untouched
+        // so concurrently running tests see the environment they started with.
+        for name in ["PEBBLE_FUSION", "PEBBLE_FUSE", "PEBBLE_UNFUSED"] {
+            std::env::set_var(name, "0");
+            assert!(ExecConfig::default().fusion, "{name}=0");
+            assert!(ExecConfig::with_partitions(2).fusion, "{name}=0");
+            std::env::remove_var(name);
+        }
+    }
+
+    /// `union(r, r)` over a `rows`-item source `t`.
+    fn self_union(rows: i64) -> (Program, Context) {
+        let mut c = Context::new();
+        c.register(
+            "t",
+            items_of((0..rows).map(|i| vec![("x", Value::Int(i))]).collect()),
+        );
+        let mut b = ProgramBuilder::new();
+        let r = b.read("t");
+        let u = b.union(r, r);
+        (b.build(u), c)
+    }
+
+    #[test]
+    fn partition_index_overflow_is_rejected_before_data_moves() {
+        // The full 16-bit range is usable...
+        assert_eq!(ExecConfig::with_partitions(1 << 20).partitions, 1 << 16);
+        let (p, c) = self_union(100);
+        let mut b = ProgramBuilder::new();
+        let r = b.read("t");
+        let f = b.filter(r, Expr::col("x").ge(Expr::lit(0i64)));
+        let out = run(
+            &b.build(f),
+            &c,
+            ExecConfig::with_partitions(1 << 16).workers(1),
+            &NoSink,
+        )
+        .unwrap();
+        let mut ids: Vec<ItemId> = out.rows.iter().map(|r| r.id).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), 100);
+        // ...but a union doubles the partition count, and a struct literal
+        // skips the builder's clamp: both are typed plan errors at every
+        // worker count instead of silently aliased identifiers.
+        for workers in [1, 2] {
+            let err = run(
+                &p,
+                &c,
+                ExecConfig::with_partitions(40_000).workers(workers),
+                &NoSink,
+            )
+            .err()
+            .expect("80 000 union partitions must be rejected");
+            assert_eq!(
+                err,
+                EngineError::partition_overflow(1, "union", 80_000, MAX_PARTITIONS),
+                "workers={workers}"
+            );
+            let literal = ExecConfig {
+                partitions: 70_000,
+                ..ExecConfig::default().workers(workers)
+            };
+            let err = run(&p, &c, literal, &NoSink).err().expect("rejected");
+            assert_eq!(
+                err,
+                EngineError::partition_overflow(0, "read", 70_000, MAX_PARTITIONS),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

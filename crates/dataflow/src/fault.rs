@@ -4,15 +4,15 @@
 //! [`check`] at the top of its row loop and fails (typed error or panic,
 //! by [`FaultKind`]) when it is about to evaluate a matching row. This is
 //! how the panic-injection harness exercises the catch_unwind boundary of
-//! both the morsel executor and the legacy spawn executor with the *same*
-//! failure, so the oracle can assert they return byte-identical errors.
+//! the scheduler's inline and pooled dispatch with the *same* failure, so
+//! the oracle can assert every shape returns byte-identical errors.
 //!
 //! ### Matching and determinism
 //!
 //! A plan matches rows of operator `op` whose identifier has sequence
 //! number `seq` (the low 32 bits of an [`ItemId`]). Sequence numbers
-//! restart per partition, so several rows can match; both executors
-//! resolve the tie identically — the lowest partition in task order wins —
+//! restart per partition, so several rows can match; every scheduler shape
+//! resolves the tie identically — the lowest partition in task order wins —
 //! which is exactly the determinism contract the oracle verifies.
 //!
 //! Faults must target *unit heads* (the first operator of a fused chain,

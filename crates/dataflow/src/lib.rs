@@ -23,15 +23,12 @@ pub mod optimize;
 pub mod pool;
 pub mod program;
 pub mod sink;
-pub mod spawn;
 pub mod spill;
 pub mod vector;
 
 pub use context::Context;
 pub use error::{panic_message, EngineError, Result};
-pub use exec::{
-    run, run_observed, run_unfused, run_unfused_observed, ExecConfig, ItemId, Row, RunOutput,
-};
+pub use exec::{run, run_observed, ExecConfig, ItemId, Row, RunOutput};
 pub use expr::{CmpOp, Expr, SelectExpr};
 pub use op::{AggFunc, AggSpec, GroupKey, MapUdf, NamedExpr, OpId, OpKind};
 pub use optimize::{optimize, OptimizeStats};
@@ -39,5 +36,4 @@ pub use pebble_obs::{ObsConfig, RunReport};
 pub use pool::WorkerPool;
 pub use program::{Operator, Program, ProgramBuilder};
 pub use sink::{NoSink, ProvenanceSink, Tee};
-pub use spawn::{run_spawn, run_spawn_unfused};
 pub use spill::MemoryTracker;

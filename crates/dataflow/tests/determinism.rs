@@ -2,17 +2,19 @@
 //!
 //! The morsel-driven executor specifies that row identifiers, association
 //! tables, *and the order of emitted provenance batches* are byte-identical
-//! at every worker count and morsel size — and identical to the legacy
-//! per-operator spawning executor. These tests pin that contract on
-//! representative pipelines over the full matrix
-//! workers {1, 2, 7} × morsel sizes {1, 64, whole-partition}.
+//! at every worker count and morsel size. The referee is the degenerate
+//! scheduler shape `workers(1).morsel_rows(usize::MAX)`: one morsel per
+//! partition, run inline in task order, so identifiers are final as the
+//! kernels produce them and no offset is ever stitched. These tests pin
+//! every other shape against it on representative pipelines over the full
+//! matrix workers {1, 2, 7} × morsel sizes {auto, 1, 64, whole-partition}.
 
 use std::sync::Mutex;
 
 use pebble_dataflow::context::items_of;
 use pebble_dataflow::{
-    run, run_spawn, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, ItemId, NamedExpr, OpId,
-    Program, ProgramBuilder, ProvenanceSink,
+    run, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, ItemId, NamedExpr, OpId, Program,
+    ProgramBuilder, ProvenanceSink,
 };
 use pebble_nested::{Path, Value};
 
@@ -25,6 +27,19 @@ enum Event {
     Binary(OpId, Vec<(Option<ItemId>, Option<ItemId>, ItemId)>),
     Flatten(OpId, Vec<(ItemId, u32, ItemId)>),
     Agg(OpId, Vec<(Vec<ItemId>, ItemId)>),
+}
+
+impl Event {
+    /// The output identifiers of the batch, in emission order.
+    fn output_ids(&self) -> Vec<ItemId> {
+        match self {
+            Event::Read(_, ids) => ids.clone(),
+            Event::Unary(_, v) => v.iter().map(|e| e.1).collect(),
+            Event::Binary(_, v) => v.iter().map(|e| e.2).collect(),
+            Event::Flatten(_, v) => v.iter().map(|e| e.2).collect(),
+            Event::Agg(_, v) => v.iter().map(|e| e.1).collect(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -70,12 +85,6 @@ impl ProvenanceSink for LogSink {
 /// scheduling-dependent order (and per-op association tables, the durable
 /// artifact, are insensitive to it).
 fn observe(
-    exec: fn(
-        &Program,
-        &Context,
-        ExecConfig,
-        &LogSink,
-    ) -> pebble_dataflow::Result<pebble_dataflow::RunOutput>,
     program: &Program,
     ctx: &Context,
     config: ExecConfig,
@@ -85,7 +94,7 @@ fn observe(
     std::collections::BTreeMap<OpId, Vec<Event>>,
 ) {
     let sink = LogSink::default();
-    let out = exec(program, ctx, config, &sink).unwrap();
+    let out = run(program, ctx, config, &sink).unwrap();
     let mut per_op: std::collections::BTreeMap<OpId, Vec<Event>> = Default::default();
     for e in sink.events.into_inner().unwrap() {
         let op = match &e {
@@ -97,26 +106,20 @@ fn observe(
         };
         per_op.entry(op).or_default().push(e);
     }
+    // Absolute, not relative to another run: every operator's batches list
+    // output identifiers in strictly ascending order — partition-major,
+    // sequence within (`op << 48 | partition << 32 | seq`). The referee
+    // shape is stitched by the same `finalize_unit` as every other shape,
+    // so an emission-order or re-basing bug they all share is only visible
+    // against this.
+    for (op, events) in &per_op {
+        let outs: Vec<ItemId> = events.iter().flat_map(Event::output_ids).collect();
+        assert!(
+            outs.windows(2).all(|w| w[0] < w[1]),
+            "operator {op}: output ids not ascending under {config:?}: {outs:x?}"
+        );
+    }
     (out.rows, out.op_counts, per_op)
-}
-
-// `observe` needs a uniform fn signature; adapt both executors to it.
-fn pool_exec(
-    p: &Program,
-    c: &Context,
-    cfg: ExecConfig,
-    s: &LogSink,
-) -> pebble_dataflow::Result<pebble_dataflow::RunOutput> {
-    run(p, c, cfg, s)
-}
-
-fn spawn_exec(
-    p: &Program,
-    c: &Context,
-    cfg: ExecConfig,
-    s: &LogSink,
-) -> pebble_dataflow::Result<pebble_dataflow::RunOutput> {
-    run_spawn(p, c, cfg, s)
 }
 
 /// Skewed dataset: item 0 carries a fat tag bag (fan-out skew after
@@ -193,26 +196,25 @@ fn chain_pipeline() -> Program {
 }
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-const MORSEL_SIZES: [usize; 3] = [1, 64, usize::MAX];
+/// `0` sizes morsels automatically (small stages then run inline).
+const MORSEL_SIZES: [usize; 4] = [0, 1, 64, usize::MAX];
+
+/// The referee shape: one morsel per partition, inline, nothing stitched.
+fn referee(partitions: usize) -> ExecConfig {
+    ExecConfig::with_partitions(partitions)
+        .workers(1)
+        .morsel_rows(usize::MAX)
+}
 
 fn assert_matrix_deterministic(program: &Program, ctx: &Context, partitions: usize) {
-    let base_cfg = ExecConfig::with_partitions(partitions)
-        .workers(1)
-        .morsel_rows(0);
-    let baseline = observe(pool_exec, program, ctx, base_cfg);
-
-    // Legacy spawn executor is the referee for the whole contract.
-    let legacy = observe(spawn_exec, program, ctx, base_cfg);
-    assert_eq!(baseline.0, legacy.0, "rows: pool vs spawn");
-    assert_eq!(baseline.1, legacy.1, "op_counts: pool vs spawn");
-    assert_eq!(baseline.2, legacy.2, "provenance events: pool vs spawn");
+    let baseline = observe(program, ctx, referee(partitions));
 
     for workers in WORKER_COUNTS {
         for morsel in MORSEL_SIZES {
             let cfg = ExecConfig::with_partitions(partitions)
                 .workers(workers)
                 .morsel_rows(morsel);
-            let got = observe(pool_exec, program, ctx, cfg);
+            let got = observe(program, ctx, cfg);
             assert_eq!(baseline.0, got.0, "rows: w={workers} m={morsel}");
             assert_eq!(baseline.1, got.1, "op_counts: w={workers} m={morsel}");
             assert_eq!(
@@ -256,11 +258,7 @@ fn flatten_tables(
 /// between the vectorized kernels and the row path at every configuration.
 fn assert_columnar_matrix(program: &Program, ctx: &Context) {
     for partitions in [1, 2, 7] {
-        let row_base = ExecConfig::with_partitions(partitions)
-            .workers(1)
-            .morsel_rows(0)
-            .columnar(false);
-        let baseline = observe(pool_exec, program, ctx, row_base);
+        let baseline = observe(program, ctx, referee(partitions).columnar(false));
         let base_tables = flatten_tables(&baseline.2);
         for workers in WORKER_COUNTS {
             for columnar in [false, true] {
@@ -268,7 +266,7 @@ fn assert_columnar_matrix(program: &Program, ctx: &Context) {
                     .workers(workers)
                     .morsel_rows(if workers == 1 { 0 } else { 7 })
                     .columnar(columnar);
-                let got = observe(pool_exec, program, ctx, cfg);
+                let got = observe(program, ctx, cfg);
                 let tag = format!("p={partitions} w={workers} columnar={columnar}");
                 assert_eq!(baseline.0, got.0, "rows: {tag}");
                 assert_eq!(baseline.1, got.1, "op_counts: {tag}");
@@ -284,11 +282,7 @@ fn assert_columnar_matrix(program: &Program, ctx: &Context) {
 /// identifiers, operator counts, association tables — while the
 /// pathological budgets demonstrably spill.
 fn assert_spill_matrix(program: &Program, ctx: &Context, partitions: usize) {
-    let base_cfg = ExecConfig::with_partitions(partitions)
-        .workers(1)
-        .morsel_rows(0)
-        .mem_budget(0);
-    let baseline = observe(pool_exec, program, ctx, base_cfg);
+    let baseline = observe(program, ctx, referee(partitions).mem_budget(0));
     let base_tables = flatten_tables(&baseline.2);
     for (budget, morsel) in [(0usize, 0usize), (4096, 64), (1, 1)] {
         for workers in WORKER_COUNTS {
@@ -298,7 +292,7 @@ fn assert_spill_matrix(program: &Program, ctx: &Context, partitions: usize) {
                     .morsel_rows(morsel)
                     .columnar(columnar)
                     .mem_budget(budget);
-                let got = observe(pool_exec, program, ctx, cfg);
+                let got = observe(program, ctx, cfg);
                 let tag = format!("budget={budget} w={workers} columnar={columnar}");
                 assert_eq!(baseline.0, got.0, "rows: {tag}");
                 assert_eq!(baseline.1, got.1, "op_counts: {tag}");

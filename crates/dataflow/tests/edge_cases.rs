@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use pebble_dataflow::{
-    context::items_of, run, run_unfused, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey,
-    MapUdf, NamedExpr, NoSink, Program, ProgramBuilder, SelectExpr,
+    context::items_of, run, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, MapUdf,
+    NamedExpr, NoSink, Program, ProgramBuilder, SelectExpr,
 };
 use pebble_nested::{DataItem, DataType, Path, Value};
 
@@ -326,7 +326,7 @@ fn nest_collects_whole_items() {
 }
 
 // ---------------------------------------------------------------------------
-// Fusion boundaries: `run` (operator fusion on) and `run_unfused` must be
+// Fusion boundaries: `run` with `fusion(true)` and `fusion(false)` must be
 // indistinguishable — same rows, same identifiers — exactly where the
 // fusion logic has to make a decision.
 
@@ -337,7 +337,7 @@ fn assert_fusion_invisible(p: &Program, c: &Context) {
     for parts in [1, 2, 3, 8] {
         let config = ExecConfig::with_partitions(parts);
         let fused = run(p, c, config, &NoSink).unwrap();
-        let unfused = run_unfused(p, c, config, &NoSink).unwrap();
+        let unfused = run(p, c, config.fusion(false), &NoSink).unwrap();
         assert_eq!(fused.rows, unfused.rows, "rows/ids differ at p={parts}");
         assert_eq!(
             fused.op_counts, unfused.op_counts,
@@ -396,7 +396,7 @@ fn fusion_boundary_empty_partitions() {
     for parts in [4, 8, 64] {
         let config = ExecConfig::with_partitions(parts);
         let fused = run(&p, &c, config, &NoSink).unwrap();
-        let unfused = run_unfused(&p, &c, config, &NoSink).unwrap();
+        let unfused = run(&p, &c, config.fusion(false), &NoSink).unwrap();
         assert_eq!(fused.rows, unfused.rows, "p={parts}");
         assert_eq!(fused.rows.len(), 3, "p={parts}");
     }

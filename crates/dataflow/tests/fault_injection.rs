@@ -5,16 +5,15 @@
 //! Arms deterministic faults via `pebble_dataflow::fault` and checks the
 //! containment contract end to end: a row-level injected error or an
 //! injected panic inside a morsel surfaces as the same typed
-//! `EngineError` from the morsel-pool executor and the legacy spawn
-//! executor, at several partition/worker shapes, and the engine runs the
-//! next pipeline normally afterwards.
+//! `EngineError` — pinned literally — at several partition/worker shapes,
+//! inline (`workers = 1`) and pooled, and the engine runs the next
+//! pipeline normally afterwards.
 
 use std::sync::{Mutex, PoisonError};
 
 use pebble_dataflow::fault::{arm, disarm, FaultKind, FaultPlan};
 use pebble_dataflow::{
-    context::items_of, run, run_spawn, Context, EngineError, ExecConfig, Expr, NoSink,
-    ProgramBuilder,
+    context::items_of, run, Context, EngineError, ExecConfig, Expr, NoSink, ProgramBuilder,
 };
 use pebble_nested::Value;
 
@@ -50,11 +49,10 @@ fn config(parts: usize, workers: usize) -> ExecConfig {
 }
 
 /// An injected row-level error is attributed to the same `(operator,
-/// row)` by both executors at every shape: sequence numbers restart per
-/// partition and the lowest task wins, so the winning row is partition
-/// 0's row 1 everywhere.
+/// row)` at every shape: sequence numbers restart per partition and the
+/// lowest task wins, so the winning row is partition 0's row 1 everywhere.
 #[test]
-fn injected_error_is_identical_across_executors() {
+fn injected_error_is_identical_across_shapes() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (program, filter_op) = program();
     let c = ctx(32);
@@ -65,15 +63,11 @@ fn injected_error_is_identical_across_executors() {
     });
     for (parts, workers) in SHAPES {
         let cfg = config(parts, workers);
-        let pool = run(&program, &c, cfg, &NoSink)
+        let err = run(&program, &c, cfg, &NoSink)
             .err()
-            .expect("pool run must fail");
-        let spawn = run_spawn(&program, &c, cfg, &NoSink)
-            .err()
-            .expect("spawn run must fail");
-        assert_eq!(pool, spawn, "p={parts} w={workers}");
+            .expect("armed run must fail");
         assert_eq!(
-            pool.to_string(),
+            err.to_string(),
             "operator #1: row 0x1: injected fault at sequence 1",
             "p={parts} w={workers}"
         );
@@ -83,7 +77,7 @@ fn injected_error_is_identical_across_executors() {
 
 /// An injected morsel panic is contained by the `catch_unwind` boundary,
 /// converted to `EngineError::WorkerPanic` with the panic payload, and
-/// reported identically by both executors; after disarming, the very next
+/// reported identically at every shape; after disarming, the very next
 /// run succeeds — no worker died, no morsel queue was left hanging.
 #[test]
 fn injected_panic_is_contained_and_engine_recovers() {
@@ -97,15 +91,11 @@ fn injected_panic_is_contained_and_engine_recovers() {
     });
     for (parts, workers) in SHAPES {
         let cfg = config(parts, workers);
-        let pool = run(&program, &c, cfg, &NoSink)
+        let err = run(&program, &c, cfg, &NoSink)
             .err()
-            .expect("pool run must fail");
-        let spawn = run_spawn(&program, &c, cfg, &NoSink)
-            .err()
-            .expect("spawn run must fail");
-        assert_eq!(pool, spawn, "p={parts} w={workers}");
+            .expect("armed run must fail");
         assert_eq!(
-            pool,
+            err,
             EngineError::WorkerPanic {
                 payload: "injected fault: operator #1 poisoned at sequence 1".into(),
             },
@@ -115,9 +105,7 @@ fn injected_panic_is_contained_and_engine_recovers() {
     disarm();
     for (parts, workers) in SHAPES {
         let cfg = config(parts, workers);
-        let out = run(&program, &c, cfg, &NoSink).expect("post-fault pool run succeeds");
-        assert_eq!(out.rows.len(), 32, "p={parts} w={workers}");
-        let out = run_spawn(&program, &c, cfg, &NoSink).expect("post-fault spawn run succeeds");
+        let out = run(&program, &c, cfg, &NoSink).expect("post-fault run succeeds");
         assert_eq!(out.rows.len(), 32, "p={parts} w={workers}");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The provenance layer persists association tables (dense `u64` identifier
 //! sequences), schemas, and result rows. This module owns the low-level
-//! encoding shared by the in-memory snapshot codec (`pebble-core::storage`)
-//! and the on-disk segment format (`pebble-serve`):
+//! encoding shared by the executor's spill files (`pebble-dataflow`) and
+//! the on-disk segment format (`pebble-serve`):
 //!
 //! * LEB128 varints and zigzag signed varints;
 //! * delta-encoded identifier sequences (ids are near-sequential, so the

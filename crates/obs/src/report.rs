@@ -275,7 +275,7 @@ pub struct BackendStats {
 pub struct RunReport {
     /// Layout version ([`REPORT_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Which executor produced the run: `pool`, `spawn`, or `reference`.
+    /// Which executor produced the run: `pool`, or `reference` (the oracle).
     pub executor: String,
     /// Whether metrics collection was enabled.
     pub metrics: bool,

@@ -12,10 +12,14 @@
 //!   unfused engine;
 //! * **capture-transparent** — a plain (no-capture) run returns the same
 //!   rows as the captured run;
-//! * **scheduler-invariant** — the legacy per-operator spawning executor
-//!   ([`run_captured_spawn`]) and the morsel-driven pool scheduler at
-//!   worker counts {2, 7} (with forced tiny morsels) agree bit-for-bit
-//!   with the `workers: 1` run;
+//! * **scheduler-invariant** — the morsel-driven pool scheduler at worker
+//!   counts {2, 7} (with forced tiny morsels) agrees bit-for-bit with the
+//!   `workers: 1` run, which is itself held to the Tab. 5 interpreter with
+//!   identifiers; where no interpreter run exists (rejected and malformed
+//!   cases) the comparison is against the *referee shape*
+//!   `workers(1).morsel_rows(usize::MAX)` at the same partition count —
+//!   one morsel per partition, run inline in task order, identifiers final
+//!   without offset stitching ([`referee_config`]);
 //! * **partition-invariant** — at `partitions: 2` and `7` the engine's
 //!   item sequence and operator counts are unchanged (identifiers may
 //!   differ);
@@ -44,8 +48,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pebble_core::{
-    backtrace, canonical_provenance, run_captured, run_captured_spawn, run_captured_unfused,
-    Backtrace, CapturedRun, PatternNode, ProvTree, TreePattern,
+    backtrace, canonical_provenance, run_captured, Backtrace, CapturedRun, PatternNode, ProvTree,
+    TreePattern,
 };
 use pebble_dataflow::{run, Context, EngineError, ExecConfig, NoSink, Program, Row};
 use pebble_nested::Path;
@@ -68,6 +72,16 @@ pub const ALT_WORKERS: [usize; 2] = [2, 7];
 /// fast path; a tiny explicit morsel forces real pool dispatch with many
 /// morsels per partition, exercising the stitcher's offset patching.
 const ALT_WORKER_MORSEL: usize = 3;
+
+/// The referee shape at `partitions`: the scheduler degenerated to a
+/// sequential stage-by-stage execution (one morsel per partition, inline,
+/// every stitching offset zero). Every engine shape is specified
+/// bit-identical to it at equal partition count.
+pub fn referee_config(partitions: usize) -> ExecConfig {
+    ExecConfig::with_partitions(partitions)
+        .workers(1)
+        .morsel_rows(usize::MAX)
+}
 
 /// How many output items get a whole-item backtrace comparison.
 const BACKTRACE_SAMPLES: usize = 3;
@@ -176,8 +190,8 @@ fn compare_captured(
 /// Compares two whole run *outcomes*: bit-for-bit captured runs when both
 /// succeed, `Display`-identical engine errors when both fail, and a
 /// divergence when one side succeeds while the other does not. This is
-/// the executor-agreement contract on malformed inputs — a failing run is
-/// part of the observable semantics, so executors must fail identically.
+/// the shape-agreement contract on malformed inputs — a failing run is
+/// part of the observable semantics, so every shape must fail identically.
 fn same_outcome(
     seed: u64,
     check: &str,
@@ -367,8 +381,8 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
     let (reference, fused) = match (reference, fused) {
         // Both reject the program (the generator sometimes produces
         // pipelines the static layer refuses; both sides must refuse
-        // together). Every other engine executor must reject it with the
-        // *same* error.
+        // together). Every other engine configuration must reject it with
+        // the *same* error.
         (Err(_), Err(engine_err)) => return rejection_agreement(seed, &program, &ctx, &engine_err),
         (Err(e), Ok(_)) => {
             return diverge(
@@ -386,7 +400,7 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
         }
         (Ok(r), Ok(f)) => (r, f),
     };
-    let unfused = match run_captured_unfused(&program, &ctx, reference_config()) {
+    let unfused = match run_captured(&program, &ctx, reference_config().fusion(false)) {
         Ok(u) => u,
         Err(e) => {
             return diverge(
@@ -402,25 +416,6 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
     }
     if let Some(d) = compare_captured(seed, "fused vs unfused engine (p=1)", &fused, &unfused) {
         return Some(d);
-    }
-
-    // The legacy per-operator spawning executor is the pre-pool referee:
-    // the morsel scheduler must reproduce its ids and provenance exactly.
-    match run_captured_spawn(&program, &ctx, reference_config()) {
-        Ok(spawn) => {
-            if let Some(d) =
-                compare_captured(seed, "spawn executor vs pool engine (p=1)", &spawn, &fused)
-            {
-                return Some(d);
-            }
-        }
-        Err(e) => {
-            return diverge(
-                seed,
-                "error agreement",
-                format!("spawn executor errors ({e}), pool engine succeeds"),
-            )
-        }
     }
 
     // Worker-count invariance, bit-for-bit: re-run the pool scheduler with
@@ -656,8 +651,8 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
     None
 }
 
-/// When the fused engine rejects a program, every other engine executor
-/// and configuration must reject it with a `Display`-identical error
+/// When the fused engine rejects a program, every other engine
+/// configuration must reject it with a `Display`-identical error
 /// (static validation runs before any data moves, so the error cannot
 /// depend on partitioning or scheduling).
 fn rejection_agreement(
@@ -670,11 +665,11 @@ fn rejection_agreement(
     let mut checks: Vec<(String, Result<CapturedRun, EngineError>)> = vec![
         (
             "unfused engine".into(),
-            run_captured_unfused(program, ctx, reference_config()),
+            run_captured(program, ctx, reference_config().fusion(false)),
         ),
         (
-            "spawn executor".into(),
-            run_captured_spawn(program, ctx, reference_config()),
+            "referee shape".into(),
+            run_captured(program, ctx, referee_config(1)),
         ),
     ];
     for workers in ALT_WORKERS {
@@ -715,22 +710,22 @@ fn rejection_agreement(
 }
 
 /// Runs one (typically corrupted, see [`crate::gen::generate_malformed`])
-/// case through the engine's executor matrix only — the reference
+/// case through the engine's configuration matrix only — the reference
 /// interpreter is skipped because it does not contain UDF panics — and
-/// asserts the pool and spawn executors agree on the exact outcome at
-/// every configuration: bit-identical captured runs when both succeed,
-/// `Display`-identical [`EngineError`]s when both fail.
+/// asserts every shape agrees with the referee shape on the exact outcome:
+/// bit-identical captured runs when both succeed, `Display`-identical
+/// [`EngineError`]s when both fail.
 pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
     let program: Program = gen.spec.compile();
     let ctx: Context = gen.dataset.context();
     let seed = gen.seed;
 
     let fused = run_captured(&program, &ctx, reference_config());
-    let spawn = run_captured_spawn(&program, &ctx, reference_config());
-    if let Some(d) = same_outcome(seed, "pool vs spawn (p=1)", &fused, &spawn) {
+    let referee = run_captured(&program, &ctx, referee_config(1));
+    if let Some(d) = same_outcome(seed, "referee vs engine (p=1)", &referee, &fused) {
         return Some(d);
     }
-    let unfused = run_captured_unfused(&program, &ctx, reference_config());
+    let unfused = run_captured(&program, &ctx, reference_config().fusion(false));
     if let Some(d) = same_outcome(seed, "fused vs unfused (p=1)", &fused, &unfused) {
         return Some(d);
     }
@@ -830,16 +825,24 @@ pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
     }
 
     // At other partition counts identifiers (and hence failing-row ids)
-    // legitimately move, so the comparison is pool vs spawn *within* each
-    // partition count, not across counts.
+    // legitimately move, so the comparison is against the referee shape
+    // *within* each partition count, not across counts. Tiny explicit
+    // morsels at real worker counts: these cases have a few dozen rows,
+    // which automatic morsel sizing would run inline without dispatching.
     for parts in ALT_PARTITIONS {
-        let config = ExecConfig::with_partitions(parts);
-        let p = run_captured(&program, &ctx, config);
-        let s = run_captured_spawn(&program, &ctx, config);
-        if let Some(d) = same_outcome(seed, &format!("pool vs spawn (p={parts})"), &p, &s) {
-            return Some(d);
+        let p = run_captured(&program, &ctx, referee_config(parts));
+        for workers in ALT_WORKERS {
+            let config = ExecConfig::with_partitions(parts)
+                .workers(workers)
+                .morsel_rows(ALT_WORKER_MORSEL);
+            let alt = run_captured(&program, &ctx, config);
+            let name = format!("referee vs w={workers} (p={parts})");
+            if let Some(d) = same_outcome(seed, &name, &p, &alt) {
+                return Some(d);
+            }
         }
-        let c = run_captured(&program, &ctx, config.columnar(true));
+        let config = ExecConfig::with_partitions(parts).columnar(true);
+        let c = run_captured(&program, &ctx, config);
         if let Some(d) = same_outcome(seed, &format!("row vs columnar (p={parts})"), &p, &c) {
             return Some(d);
         }
@@ -891,7 +894,7 @@ pub fn fuzz(start_seed: u64, count: u64, stop_after: usize) -> FuzzOutcome {
 }
 
 /// The malformed-input sweep: like [`fuzz`], but corrupting each case via
-/// [`crate::gen::generate_malformed`] and checking executor agreement on
+/// [`crate::gen::generate_malformed`] and checking shape agreement on
 /// the (usually failing) outcome with [`check_malformed`].
 pub fn fuzz_malformed(start_seed: u64, count: u64, stop_after: usize) -> FuzzOutcome {
     let mut outcome = FuzzOutcome::default();

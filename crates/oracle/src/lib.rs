@@ -35,7 +35,8 @@ pub use backends::{
     check_backends, check_backends_malformed, fuzz_backends, fuzz_backends_malformed,
 };
 pub use diff::{
-    check, check_malformed, fuzz, fuzz_malformed, Divergence, FuzzOutcome, ALT_PARTITIONS,
+    check, check_malformed, fuzz, fuzz_malformed, referee_config, Divergence, FuzzOutcome,
+    ALT_PARTITIONS,
 };
 pub use gen::{generate, generate_malformed, Generated};
 pub use interp::{reference_config, run_reference};

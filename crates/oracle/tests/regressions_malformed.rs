@@ -1,32 +1,35 @@
 //! Pinned malformed-input repros (see `regressions/README.md`).
 //!
 //! Same shape as `regressions.rs`, but the pinned contract is the *error
-//! path*: the morsel-pool executor (`run`) and the legacy spawn executor
-//! (`run_spawn`) must return byte-identical `Err`s for inputs that panic
-//! mid-run or fail validation, at every partition count — a failing run
-//! is part of the observable semantics, not an accident of scheduling.
+//! path*: the engine's default shape and the referee shape
+//! (`referee_config`: one morsel per partition, inline) must return
+//! byte-identical `Err`s for inputs that panic mid-run or fail validation,
+//! at every partition count — a failing run is part of the observable
+//! semantics, not an accident of scheduling.
 
-use pebble_dataflow::{run, run_spawn, EngineError, ExecConfig, NoSink, RunOutput};
+use pebble_dataflow::{run, EngineError, ExecConfig, NoSink};
 use pebble_oracle::{
-    check_malformed, generate_malformed, DatasetSpec, Generated, OpSpec, PipelineSpec, UdfSpec,
+    check_malformed, generate_malformed, referee_config, DatasetSpec, Generated, OpSpec,
+    PipelineSpec, UdfSpec,
 };
 
-/// Runs both executors on `gen` at `parts` partitions and asserts they
-/// fail identically, returning the shared error.
+/// Runs `gen` at `parts` partitions in the default and the referee shape
+/// and asserts they fail identically, returning the shared error.
 fn identical_err(gen: &Generated, parts: usize) -> EngineError {
     let program = gen.spec.compile();
     let ctx = gen.dataset.context();
-    let config = ExecConfig::with_partitions(parts);
-    let pool: Result<RunOutput, EngineError> = run(&program, &ctx, config, &NoSink);
-    let spawn: Result<RunOutput, EngineError> = run_spawn(&program, &ctx, config, &NoSink);
-    let pool = pool.err().expect("pool run must fail");
-    let spawn = spawn.err().expect("spawn run must fail");
-    assert_eq!(pool, spawn, "pool and spawn errors differ at p={parts}");
-    assert_eq!(pool.to_string(), spawn.to_string());
-    pool
+    let fail = |config: ExecConfig| {
+        run(&program, &ctx, config, &NoSink)
+            .err()
+            .expect("run must fail")
+    };
+    let default = fail(ExecConfig::with_partitions(parts));
+    let referee = fail(referee_config(parts));
+    assert_eq!(default, referee, "errors differ at p={parts}");
+    default
 }
 
-/// A UDF that panics on the first row: both executors surface the same
+/// A UDF that panics on the first row: every shape surfaces the same
 /// row-level error, naming the map operator and the first input row of
 /// the first partition — at every partition count.
 #[test]
@@ -60,8 +63,8 @@ fn malformed_pinned_panicking_udf() {
     assert_eq!(check_malformed(&gen), None);
 }
 
-/// A UDF that panics only on one row in the middle of the dataset: the
-/// executors must pick the same failing row (first failure in task
+/// A UDF that panics only on one row in the middle of the dataset: every
+/// shape must pick the same failing row (first failure in task
 /// order), not whichever worker lost the race.
 #[test]
 fn malformed_pinned_partial_udf_failure() {
@@ -97,7 +100,7 @@ fn malformed_pinned_partial_udf_failure() {
 }
 
 /// An unresolvable flatten path: static validation rejects the program
-/// before any data moves, identically in both executors and at every
+/// before any data moves, identically in every shape and at every
 /// partition count.
 #[test]
 fn malformed_pinned_unresolvable_path() {
@@ -129,8 +132,8 @@ fn malformed_pinned_unresolvable_path() {
 }
 
 /// A bounded slice of the malformed fuzz corpus stays divergence-free:
-/// every corrupted case yields the same outcome from the pool and spawn
-/// executors across the whole configuration matrix.
+/// every corrupted case yields the same outcome across the whole
+/// configuration matrix.
 #[test]
 fn malformed_corpus_slice_agrees() {
     for seed in 0..25 {

@@ -9,13 +9,13 @@
 //!   shuffle, a skewed flatten) run through [`check`], whose out-of-core
 //!   axis re-executes them bit-for-bit at a one-byte budget;
 //! * **fault pins** — an injected spill-write failure must surface as the
-//!   same typed, path-free `Display` from every executor and from both
+//!   same typed, path-free `Display` from every configuration and from both
 //!   spill layers (engine operator/bucket spill and capture-sink
 //!   association spill), and the engine must run clean after `disarm`.
 
 use std::sync::{Mutex, PoisonError};
 
-use pebble_core::{run_captured, run_captured_spawn, run_captured_unfused};
+use pebble_core::run_captured;
 use pebble_dataflow::fault::{arm_spill, disarm};
 use pebble_oracle::{
     check, check_malformed, generate_malformed, reference_config, AggKind, CmpKind, DatasetSpec,
@@ -138,7 +138,7 @@ fn oracle_pinned_skewed_flatten_spill_shape() {
 }
 
 /// An injected spill-write failure is `Display`-identical from every
-/// executor and configuration, whichever spill layer hits it first: the
+/// configuration, whichever spill layer hits it first: the
 /// engine's operator-output/grace-bucket/shuffle writers and the capture
 /// sink's association-chunk writer all fail through the same typed,
 /// path-free error. Targets: the read (a fused chain head, so the fused
@@ -147,7 +147,7 @@ fn oracle_pinned_skewed_flatten_spill_shape() {
 /// buckets), and the group (shuffle buckets — also the sink, which never
 /// spills its output, so only bucket and capture writes can fail).
 #[test]
-fn spill_fault_display_identical_across_executors() {
+fn spill_fault_display_identical_across_configurations() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let gen = join_group_case();
     let program = gen.spec.compile();
@@ -161,7 +161,7 @@ fn spill_fault_display_identical_across_executors() {
             ("fused pool w=1", run_captured(&program, &ctx, budgeted)),
             (
                 "unfused pool w=1",
-                run_captured_unfused(&program, &ctx, budgeted),
+                run_captured(&program, &ctx, budgeted.fusion(false)),
             ),
             (
                 "fused pool w=2",
@@ -171,9 +171,6 @@ fn spill_fault_display_identical_across_executors() {
                 "fused columnar",
                 run_captured(&program, &ctx, budgeted.columnar(true)),
             ),
-            // The spawn executor ignores the engine budget entirely; it
-            // still fails identically because the capture layer spills.
-            ("spawn", run_captured_spawn(&program, &ctx, budgeted)),
         ];
         disarm();
         for (name, outcome) in runs {

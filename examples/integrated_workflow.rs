@@ -7,10 +7,9 @@
 //! cargo run --example integrated_workflow
 //! ```
 
-use pebble::core::{
-    backtrace_with, run_captured, storage, BacktraceIndex, CapturedRun, TreePattern,
-};
+use pebble::core::{run_captured, TreePattern};
 use pebble::dataflow::{io, optimize, Context, ExecConfig, Expr, NamedExpr, ProgramBuilder};
+use pebble::serve::{persist_file, ProvStore};
 use pebble::workloads::twitter::{generate, TwitterConfig};
 
 fn main() {
@@ -57,30 +56,24 @@ fn main() {
     let run = run_captured(&optimized, &ctx, ExecConfig::default()).expect("pipeline runs");
     let result_path = dir.join("result.ndjson");
     run.output.write_ndjson(&result_path).expect("write result");
-    let prov_path = dir.join("provenance.pbl");
-    std::fs::write(&prov_path, storage::encode(&run.ops)).expect("write provenance");
+    let prov_path = dir.join("provenance.pbsg");
+    let prov_bytes = persist_file(&run, &prov_path).expect("write provenance");
     println!(
-        "result: {} rows → {}; provenance: {} bytes → {}",
+        "result: {} rows → {}; provenance segment: {} bytes → {}",
         run.output.rows.len(),
         result_path.display(),
-        std::fs::metadata(&prov_path).unwrap().len(),
+        prov_bytes,
         prov_path.display()
     );
 
-    // 5. Later: reload the pebbles and answer a textual provenance
-    //    question with a prepared index.
-    let decoded = storage::decode(&std::fs::read(&prov_path).unwrap()).expect("decode");
-    let reloaded = CapturedRun {
-        program: optimized.clone(),
-        output: run.output,
-        ops: decoded,
-    };
-    let index = BacktraceIndex::build(&reloaded);
+    // 5. Later: cold-open the segment (rows, pebbles and the prepared
+    //    index come back with it) and answer a textual provenance question.
+    let store = ProvStore::open(&prov_path).expect("open provenance");
     let query =
         TreePattern::parse(r#"mentioned = "u7", retweet_count > 100"#).expect("query parses");
-    let matched = query.match_rows(&reloaded.output.rows);
+    let matched = query.match_rows(store.rows());
     println!("\nquery matched {} result rows", matched.entries.len());
-    for source in backtrace_with(&reloaded, &index, matched).unwrap() {
+    for source in store.backtrace(matched).unwrap() {
         println!(
             "source `{}`: {} contributing input tweets",
             source.source,

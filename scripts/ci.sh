@@ -46,12 +46,17 @@ PEBBLE_COLUMNAR=1 cargo test -q --workspace --release
 echo "==> cargo test -q (PEBBLE_MEM_BUDGET=4096)"
 PEBBLE_MEM_BUDGET=4096 cargo test -q --workspace --release
 
+# The `--assert` gates below write their reports under target/ci/ rather
+# than over the tracked BENCH_N.json files, so `git status --porcelain` is
+# the same before and after this script.
+mkdir -p target/ci
+
 # Spill regression guard: the 100x scenario must produce byte-identical
 # output under budget, actually spill every spillable structure at the
 # floor budget, and finish a peak/2-budget run within the documented
-# slowdown bound; numbers fold into the "spill" section of BENCH_6.json.
+# slowdown bound.
 echo "==> spill regression guard (spillbench --assert)"
-cargo run -q --release -p pebble-bench --bin spillbench -- --assert
+cargo run -q --release -p pebble-bench --bin spillbench -- --assert --out target/ci/BENCH_6.json
 
 # Bounded differential-fuzz smoke: fixed seed window, ~1500 pipelines
 # through the Tab. 5 reference oracle (well under 30 s in release). The
@@ -60,8 +65,8 @@ echo "==> oracle differential smoke"
 cargo run -q --release -p pebble-oracle --bin oracle_fuzz -- 1500 0
 
 # Malformed-input smoke: the same generator with injected corruption
-# (panicking UDFs, unresolvable paths); every engine executor must agree
-# on the exact failing outcome.
+# (panicking UDFs, unresolvable paths); every engine configuration must
+# agree with the referee shape on the exact failing outcome.
 echo "==> oracle malformed-input smoke"
 cargo run -q --release -p pebble-oracle --bin oracle_fuzz -- 500 0 malformed
 
@@ -73,25 +78,14 @@ PEBBLE_METRICS=1 PEBBLE_TRACE=target/obs_smoke.trace.ndjson \
     cargo run -q --release -p pebble-bench --bin obs_smoke
 
 # Overhead guard: the disabled telemetry path must add <2% to the hotpath
-# bench; numbers fold into the "obs_overhead" section of BENCH_3.json.
+# bench.
 echo "==> observability overhead guard (metrics-off < 2%)"
-cargo run -q --release -p pebble-bench --bin obs_overhead -- --assert --out BENCH_3.json
-
-# Panic-injection smoke at the two extreme scheduler shapes: the fault
-# harness itself sweeps partition/worker shapes, and the env knobs swing
-# every other test's default config across the same extremes.
-echo "==> panic-injection smoke (PEBBLE_PARTITIONS=1 PEBBLE_WORKERS=1)"
-PEBBLE_PARTITIONS=1 PEBBLE_WORKERS=1 \
-    cargo test -q --release -p pebble-dataflow --test fault_injection
-
-echo "==> panic-injection smoke (PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8)"
-PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8 PEBBLE_MORSEL_ROWS=16 \
-    cargo test -q --release -p pebble-dataflow --test fault_injection
+cargo run -q --release -p pebble-bench --bin obs_overhead -- --assert --out target/ci/BENCH_3.json
 
 # Columnar regression guard: the vectorized path must not be slower than
 # the row path on T3 (plain and capture) beyond a small noise margin.
 echo "==> columnar regression guard (colbench --assert)"
-cargo run -q --release -p pebble-bench --bin colbench -- --assert
+cargo run -q --release -p pebble-bench --bin colbench -- --assert --out target/ci/BENCH_4.json
 
 # Persistent-store smoke: two workload scenarios persisted to disk,
 # cold-opened, and queried directly and through a live server — every
@@ -102,7 +96,7 @@ PEBBLE_STORE_DIR=target/ci_store cargo run -q --release -p pebble-bench --bin se
 # Store regression guard: the compressed segment must stay >=3x smaller
 # than a naive dump, with store answers checked against memory first.
 echo "==> store regression guard (servebench --assert)"
-cargo run -q --release -p pebble-bench --bin servebench -- --assert
+cargo run -q --release -p pebble-bench --bin servebench -- --assert --out target/ci/BENCH_5.json
 
 # Backend differential smoke: every capture backend (built-ins + baseline
 # ports) against its naive oracle reference, across the shape matrix, on
@@ -116,10 +110,9 @@ echo "==> backend smoke (env selection + shape conformance)"
 cargo run -q --release -p pebble-bench --bin backend_smoke
 
 # Backend regression guard: why-not determinism, non-trivial aggregation
-# polynomials, and the Sec. 2 lipstick-vs-pebble annotation ratio; numbers
-# fold into the "backends" section of BENCH_7.json.
+# polynomials, and the Sec. 2 lipstick-vs-pebble annotation ratio.
 echo "==> backend regression guard (backendbench --assert)"
-cargo run -q --release -p pebble-bench --bin backendbench -- --assert
+cargo run -q --release -p pebble-bench --bin backendbench -- --assert --out target/ci/BENCH_7.json
 
 # Load-generator smoke: closed-loop multi-tenant mixed traffic (all
 # request kinds, incl. WHYNOT and tenant-local engine runs) against a
@@ -132,10 +125,9 @@ cargo run -q --release -p pebble-bench --bin load_smoke
 # Load regression guard: serial-baseline byte-equality under load, the
 # open-loop offered-rate sweep (>=5 points), low-load p99 within bounds
 # of the serial latency, and metrics-on serve-path overhead <2% with
-# byte-identical frames; the curve folds into the "load" section of
-# BENCH_8.json.
+# byte-identical frames.
 echo "==> load regression guard (loadbench --assert)"
-cargo run -q --release -p pebble-bench --bin loadbench -- --assert --out BENCH_8.json
+cargo run -q --release -p pebble-bench --bin loadbench -- --assert --out target/ci/BENCH_8.json
 
 # Journey benchmark smoke: `benchmark/` is its own cargo workspace, so no
 # step above compiles it; an API change in pebble-core / pebble-serve would

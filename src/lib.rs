@@ -8,8 +8,10 @@
 //! * [`dataflow`] — the partition-parallel dataflow engine (the Spark
 //!   substitute) with plan optimization and NDJSON I/O;
 //! * [`core`] — structural provenance: lightweight capture, tree-pattern
-//!   queries (with a textual syntax), the backtracing algorithm,
-//!   persistence, and the use-case analyses;
+//!   queries (with a textual syntax), the backtracing algorithm, and the
+//!   use-case analyses;
+//! * [`serve`] — persistence: the `PBSG` segment format (`persist` /
+//!   `ProvStore`) and the concurrent query service over it;
 //! * [`obs`] — runtime telemetry: per-operator metrics, tracing spans,
 //!   the structured run report, and the leveled diagnostics facade;
 //! * [`baselines`] — the comparison systems: Titian-style lineage,
@@ -26,4 +28,5 @@ pub use pebble_core as core;
 pub use pebble_dataflow as dataflow;
 pub use pebble_nested as nested;
 pub use pebble_obs as obs;
+pub use pebble_serve as serve;
 pub use pebble_workloads as workloads;
