@@ -4,7 +4,7 @@
 //! built-in backends use, over the same assembled [`CapturedRun`] — so
 //! the backend-conformance suite can push Titian lineage, lazy
 //! re-execution, and Lipstick annotation counting through the identical
-//! determinism matrix (workers × partitions × columnar × spill budget)
+//! determinism matrix (workers × partitions × spill budget)
 //! and require byte-identical answers:
 //!
 //! * [`TitianBackend`] — `TRACE <row>`: lineage-only backward walk
@@ -12,8 +12,7 @@
 //! * [`LazyBackend`] — `TRACE <row>`: PROVision-style per-input
 //!   re-execution followed by a full structural backtrace;
 //! * [`LipstickBackend`] — `ANNOTATIONS`: per-value annotation counts
-//!   vs Pebble's top-level identifiers, per source. Lipstick walks row
-//!   items value by value, so it forces the row execution path.
+//!   vs Pebble's top-level identifiers, per source.
 
 use pebble_core::backend::unknown_query_error;
 use pebble_core::{
@@ -207,8 +206,7 @@ impl PreparedBackend for PreparedLazy<'_> {
 
 /// Lipstick-style annotation accounting as a backend: `ANNOTATIONS`
 /// contrasts per-value annotation counts with Pebble's one identifier per
-/// top-level item, per input dataset. Lipstick annotates values row by
-/// row, so this backend forces the row execution path.
+/// top-level item, per input dataset.
 pub struct LipstickBackend;
 
 struct PreparedLipstick<'r> {
@@ -219,10 +217,6 @@ struct PreparedLipstick<'r> {
 impl CaptureBackend for LipstickBackend {
     fn name(&self) -> &'static str {
         "lipstick"
-    }
-
-    fn forces_row_path(&self) -> bool {
-        true
     }
 
     fn prepare<'r>(
@@ -312,7 +306,6 @@ mod tests {
         let lines = prepared.answer("ANNOTATIONS").unwrap();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("#0 t: lipstick "));
-        assert!(LipstickBackend.forces_row_path());
         assert!(prepared.answer("COUNT 0").is_err());
     }
 }

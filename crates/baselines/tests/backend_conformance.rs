@@ -1,12 +1,13 @@
 //! Backend-conformance suite: every capture backend — the three built-ins
 //! and the three baseline ports — answers its queries byte-identically
 //! across the engine's whole determinism matrix (partitions × workers ×
-//! columnar × spill budget), because backends consume only the assembled
+//! spill budget), because backends consume only the assembled
 //! `CapturedRun` and render identifier-free quantities.
 
 use pebble_baselines::{LazyBackend, LipstickBackend, TitianBackend};
 use pebble_core::{
-    run_for_backend, CaptureBackend, CapturedRun, SemiringBackend, StructuralBackend, WhyNotBackend,
+    run_captured, run_for_backend, CaptureBackend, CapturedRun, SemiringBackend, StructuralBackend,
+    WhyNotBackend,
 };
 use pebble_dataflow::{Context, ExecConfig, Program, Result};
 use pebble_nested::{Path, Value};
@@ -33,7 +34,6 @@ fn shapes() -> Vec<(&'static str, ExecConfig)> {
             "w=2 morsel=3",
             ExecConfig::with_partitions(1).workers(2).morsel_rows(3),
         ),
-        ("columnar", ExecConfig::with_partitions(1).columnar(true)),
         ("spill", ExecConfig::with_partitions(1).mem_budget(1)),
     ]
 }
@@ -141,35 +141,26 @@ fn twitter_t2_conforms() {
     assert_conformance("T2", &s.program, &ctx);
 }
 
+/// Lipstick annotates values row at a time, but over the *captured run*:
+/// the engine executes its program on the same kernels as everyone else's,
+/// and the answer is the one a plain `run_captured` of that config gives.
 #[test]
-fn lipstick_forces_row_path() {
+fn lipstick_runs_on_the_engine_path() {
     let ctx = running_example::context();
     let program = running_example::program();
-    let run = run_for_backend(
-        &program,
-        &ctx,
-        ExecConfig::with_partitions(1).columnar(true),
-        &LipstickBackend,
-    )
-    .unwrap();
-    // The columnar flag was cleared: no columnar stats on the report, and
-    // the report records which backend drove the run.
-    assert!(run.output.report.columnar.is_none());
-    let stats = run.output.report.backend.as_ref().unwrap();
-    assert_eq!(stats.name, "lipstick");
-    assert!(stats.forces_row_path);
+    let config = ExecConfig::with_partitions(1);
+    let run = run_for_backend(&program, &ctx, config, &LipstickBackend).unwrap();
+    let report = &run.output.report;
+    assert_eq!(report.backend.as_ref().unwrap().name, "lipstick");
+    assert!(report.columnar.is_some());
 
-    // A backend that consumes columnar runs keeps the flag.
-    let run = run_for_backend(
-        &program,
-        &ctx,
-        ExecConfig::with_partitions(1).columnar(true),
-        &StructuralBackend,
-    )
-    .unwrap();
-    assert!(run.output.report.columnar.is_some());
-    assert_eq!(
-        run.output.report.backend.as_ref().unwrap().name,
-        "structural"
-    );
+    let plain = run_captured(&program, &ctx, config).unwrap();
+    assert!(plain.output.report.columnar.is_some());
+    assert_eq!(run.output.rows, plain.output.rows);
+    assert_eq!(run.ops, plain.ops);
+    let answer = |r: &CapturedRun| {
+        let prepared = LipstickBackend.prepare(r, &ctx).unwrap();
+        outcome(prepared.answer("ANNOTATIONS"))
+    };
+    assert_eq!(answer(&run), answer(&plain));
 }

@@ -1,7 +1,7 @@
 //! Backend smoke for CI: every capture backend — the three built-ins and
 //! the three baseline ports — prepared over the Twitter T1 scenario and
 //! the running example, answering its queries byte-identically across a
-//! reduced shape matrix (p=1 / p=2 / columnar / spilled), plus the
+//! reduced shape matrix (p=1 / p=2 / spilled), plus the
 //! `PEBBLE_BACKEND` env selection path. Exits nonzero on any violation.
 
 use pebble_baselines::{LazyBackend, LipstickBackend, TitianBackend};
@@ -66,7 +66,6 @@ fn queries_for(backend: &dyn CaptureBackend, baseline: &CapturedRun) -> Vec<Stri
 fn smoke(name: &str, program: &Program, ctx: &Context) {
     let shapes: Vec<(&str, ExecConfig)> = vec![
         ("p=2", ExecConfig::with_partitions(2)),
-        ("columnar", ExecConfig::with_partitions(1).columnar(true)),
         ("spill", ExecConfig::with_partitions(1).mem_budget(1)),
     ];
     let mut answers = 0usize;

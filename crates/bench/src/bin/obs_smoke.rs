@@ -126,8 +126,8 @@ fn main() {
         Ok(other) => fail(&format!("report is not a JSON object: {other:?}")),
         Err(e) => fail(&format!("report JSON does not parse: {e}")),
     };
-    if get_int(&root, "schema_version") != 2 {
-        fail("schema_version != 2");
+    if get_int(&root, "schema_version") != 3 {
+        fail("schema_version != 3");
     }
     if get_str(&root, "executor") != "pool" {
         fail("executor != \"pool\"");

@@ -3,11 +3,10 @@
 //! [`CaptureBackend`] generalizes the hardwired capture→backtrace path:
 //! every backend consumes the same assembled [`CapturedRun`] — the
 //! per-operator association-id tables the [`pebble_dataflow::sink`]
-//! hook emitted, whether the run was row or columnar, in-memory or
-//! spilled — and answers textual queries over it. Because the feed is
-//! the captured run itself, the engine's whole determinism matrix
-//! (workers × partitions × columnar × spill budget) applies to every
-//! backend unchanged, and backend answers are required to be
+//! hook emitted, in-memory or spilled — and answers textual queries over
+//! it. Because the feed is the captured run itself, the engine's whole
+//! determinism matrix (workers × partitions × spill budget) applies to
+//! every backend unchanged, and backend answers are required to be
 //! byte-identical across all execution shapes (they render only
 //! identifier-free quantities: output row positions, dataset indices,
 //! operator ids, schema-level paths).
@@ -24,10 +23,7 @@
 //! `pebble-baselines` ports its comparison systems (Titian lineage, lazy
 //! re-execution, Lipstick annotation counting) onto the same trait; the
 //! backend-conformance suite runs all of them through the determinism
-//! matrix. A backend that cannot consume columnar-built runs (none of
-//! the built-ins; the Lipstick port, which annotates values row-at-a-
-//! time) sets [`CaptureBackend::forces_row_path`], and
-//! [`run_for_backend`] clears [`ExecConfig::columnar`] accordingly.
+//! matrix.
 //!
 //! The backend for a session is picked by name — `PEBBLE_BACKEND`
 //! selects one of the three built-ins via [`backend_from_env`].
@@ -48,12 +44,6 @@ use pebble_nested::Path;
 pub trait CaptureBackend: Sync {
     /// Stable backend name (registry key and report label).
     fn name(&self) -> &'static str;
-
-    /// True when the backend cannot consume columnar-built runs;
-    /// [`run_for_backend`] then executes on the row path.
-    fn forces_row_path(&self) -> bool {
-        false
-    }
 
     /// Prepares the backend over one captured run (plus the source
     /// context, for backends that reason about input items).
@@ -233,22 +223,17 @@ pub fn backend_from_env() -> &'static dyn CaptureBackend {
     }
 }
 
-/// Executes a program with capture on behalf of a backend: clears the
-/// columnar flag when the backend forces the row path, and stamps the
+/// Executes a program with capture on behalf of a backend and stamps the
 /// run report's `backend` section.
 pub fn run_for_backend(
     program: &Program,
     ctx: &Context,
-    mut config: ExecConfig,
+    config: ExecConfig,
     backend: &dyn CaptureBackend,
 ) -> Result<CapturedRun> {
-    if backend.forces_row_path() {
-        config.columnar = false;
-    }
     let mut run = run_captured(program, ctx, config)?;
     run.output.report.backend = Some(BackendStats {
         name: backend.name().to_string(),
-        forces_row_path: backend.forces_row_path(),
     });
     Ok(run)
 }
@@ -334,6 +319,5 @@ mod tests {
         let run = run_for_backend(&p, &c, ExecConfig::with_partitions(1), &SEMIRING).unwrap();
         let stats = run.output.report.backend.as_ref().unwrap();
         assert_eq!(stats.name, "semiring");
-        assert!(!stats.forces_row_path);
     }
 }

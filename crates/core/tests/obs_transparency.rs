@@ -148,6 +148,11 @@ fn metrics_on_off_runs_are_byte_identical() {
                 "p={parts}: per-op structural counters"
             );
         }
+        // So do the vectorized-kernel counters, which every run reports.
+        let col_off = off_report.columnar.as_ref().expect("kernel stats, off");
+        let col_on = on_report.columnar.as_ref().expect("kernel stats, on");
+        assert_eq!(col_off, col_on, "p={parts}: kernel counters");
+        assert!(on_report.to_json().contains("\"columnar\": {"));
 
         // Backtracing the whole first output row gives identical raw and
         // canonical answers.
@@ -170,48 +175,6 @@ fn metrics_on_off_runs_are_byte_identical() {
     }
 }
 
-/// The transparency guarantee extends to the columnar execution path:
-/// metrics on/off does not perturb a columnar run, the columnar run is
-/// byte-identical to the row-path run, and the report's `columnar` section
-/// carries the same structural counters in both observation modes.
-#[test]
-fn columnar_runs_unperturbed_and_reported() {
-    let c = ctx();
-    let p = program();
-    for parts in PARTITIONS {
-        let col_cfg = ExecConfig::with_partitions(parts).columnar(true);
-        let (off, off_report) = run_captured_observed(&p, &c, col_cfg, &ObsConfig::disabled());
-        let (on, on_report) = run_captured_observed(&p, &c, col_cfg, &ObsConfig::metrics());
-        let off = off.unwrap();
-        let on = on.unwrap();
-        assert_eq!(off.output.rows, on.output.rows, "p={parts}: rows or ids");
-        for (a, b) in off.ops.iter().zip(&on.ops) {
-            assert_eq!(a, b, "p={parts}: association tables");
-        }
-
-        // Columnar vs row path, same config otherwise: byte-identical.
-        let row_cfg = ExecConfig::with_partitions(parts).columnar(false);
-        let (row, row_report) = run_captured_observed(&p, &c, row_cfg, &ObsConfig::disabled());
-        let row = row.unwrap();
-        assert_eq!(
-            row.output.rows, on.output.rows,
-            "p={parts}: columnar vs row"
-        );
-        for (a, b) in row.ops.iter().zip(&on.ops) {
-            assert_eq!(a, b, "p={parts}: columnar vs row tables");
-        }
-
-        // The columnar report section is structural (always-on for
-        // columnar runs) and identical across observation modes; a row
-        // run reports no columnar section at all.
-        let col_on = on_report.columnar.as_ref().expect("columnar stats on");
-        let col_off = off_report.columnar.as_ref().expect("columnar stats off");
-        assert_eq!(col_on, col_off, "p={parts}: columnar counters");
-        assert!(row_report.columnar.is_none(), "p={parts}: row run section");
-        assert!(on_report.to_json().contains("\"columnar\""));
-    }
-}
-
 /// The same guarantee for plain (uncaptured) runs: `run` and `run_observed`
 /// with metrics on return identical outputs.
 #[test]
@@ -224,6 +187,7 @@ fn plain_run_unperturbed_by_metrics() {
         let (observed, report) = run_observed(&p, &c, config, &NoSink, &ObsConfig::metrics());
         let observed = observed.unwrap();
         assert!(report.metrics);
+        assert!(plain.report.columnar.is_some() && report.columnar.is_some());
         assert_eq!(plain.rows, observed.rows, "p={parts}");
         assert_eq!(plain.op_counts, observed.op_counts, "p={parts}");
     }
@@ -242,8 +206,9 @@ fn reading_report_then_backtracing() {
         &ObsConfig::metrics(),
     );
     let run = run.unwrap();
+    assert!(report.columnar.is_some());
     let json = report.to_json();
-    assert!(json.contains("\"schema_version\":2") || json.contains("\"schema_version\": 2"));
+    assert!(json.contains("\"schema_version\":3") || json.contains("\"schema_version\": 3"));
     let row = &run.output.rows[0];
     let sources = backtrace(&run, whole_item(row)).unwrap();
     assert!(!sources.is_empty());

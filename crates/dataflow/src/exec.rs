@@ -49,7 +49,7 @@ use crate::context::Context;
 use crate::error::{panic_message, EngineError, Result};
 use crate::expr::Expr;
 use crate::fault;
-use crate::hash::{hash_one, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::op::{key_value, AggFunc, AggSpec, GroupKey, MapUdf, NamedExpr, OpId, OpKind};
 use crate::pool::WorkerPool;
 use crate::program::{Operator, Program};
@@ -165,11 +165,14 @@ const INLINE_ROWS: usize = 512;
 
 /// Executor configuration.
 ///
-/// Every knob has an environment override read by [`ExecConfig::default`]
-/// (and thus by [`ExecConfig::with_partitions`]): `PEBBLE_PARTITIONS`,
-/// `PEBBLE_WORKERS`, `PEBBLE_MORSEL_ROWS`, `PEBBLE_COLUMNAR`, and
+/// Four of the five fields have an environment override read by
+/// [`ExecConfig::default`] (and thus by [`ExecConfig::with_partitions`]):
+/// `PEBBLE_PARTITIONS`, `PEBBLE_WORKERS`, `PEBBLE_MORSEL_ROWS`, and
 /// `PEBBLE_MEM_BUDGET` (with `PEBBLE_SPILL_DIR` naming where spilled
-/// state goes) — except `fusion`, which only tests turn off.
+/// state goes). `fusion` has none; only tests turn it off. Which kernels
+/// run a unit is not configurable at all: fused filter/select chains, group
+/// shuffles and join probes are vectorized ([`crate::vector`]), and a chain
+/// falls back to the row kernel only when its own plan hosts user code.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecConfig {
     /// Number of logical partitions. Identifiers depend on this (a
@@ -185,12 +188,6 @@ pub struct ExecConfig {
     /// input cardinality (targeting several morsels per worker). Output is
     /// byte-identical at any morsel size.
     pub morsel_rows: usize,
-    /// Execute fused per-row chains (and shuffle/probe key hashing) with
-    /// the vectorized columnar kernels (`PEBBLE_COLUMNAR=1`). Rows,
-    /// identifiers, association tables, and backtraces are byte-identical
-    /// to the row path; units the columnar planner cannot vectorize (UDFs)
-    /// fall back to rows per unit.
-    pub columnar: bool,
     /// Memory budget in bytes for pipeline-resident state (`0` =
     /// unlimited, the default; `PEBBLE_MEM_BUDGET`). When set, a
     /// [`crate::MemoryTracker`] accounts for materialized unit outputs,
@@ -264,27 +261,11 @@ fn default_parallelism() -> usize {
 impl Default for ExecConfig {
     fn default() -> Self {
         let partitions = env_knob("PEBBLE_PARTITIONS").unwrap_or_else(default_parallelism);
-        // Boolean knob with the same clamp-and-warn contract as the other
-        // env overrides: invalid values warn once and fall back to the row
-        // path; values above 1 clamp to "on" with a warning.
-        let columnar = match env_knob("PEBBLE_COLUMNAR") {
-            Some(v) => {
-                if v > 1 {
-                    diag::warn_once(
-                        "PEBBLE_COLUMNAR.clamp",
-                        &format!("clamping PEBBLE_COLUMNAR={v} to 1"),
-                    );
-                }
-                v != 0
-            }
-            None => false,
-        };
         ExecConfig {
             // `workers`/`morsel_rows` keep `0` as "auto".
             partitions: clamp_partitions(partitions),
             workers: env_knob("PEBBLE_WORKERS").unwrap_or(0),
             morsel_rows: env_knob("PEBBLE_MORSEL_ROWS").unwrap_or(0),
-            columnar,
             mem_budget_bytes: env_knob("PEBBLE_MEM_BUDGET").unwrap_or(0),
             fusion: true,
         }
@@ -310,12 +291,6 @@ impl ExecConfig {
     /// Sets the morsel length in rows (builder style).
     pub fn morsel_rows(mut self, morsel_rows: usize) -> Self {
         self.morsel_rows = morsel_rows;
-        self
-    }
-
-    /// Enables or disables the columnar kernels (builder style).
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -509,6 +484,7 @@ fn base_report(
         partitions: config.partitions as u64,
         workers: config.effective_workers() as u64,
         morsel_rows: config.morsel_rows as u64,
+        columnar: Some(ColumnarStats::default()),
         ..RunReport::default()
     };
     let mut seen_sources: Vec<&str> = Vec::new();
@@ -718,12 +694,12 @@ pub(crate) enum OwnedStage {
     Map(MapUdf),
 }
 
-struct ChainKernel {
-    ops: Vec<OpId>,
-    stages: Vec<OwnedStage>,
+pub(crate) struct ChainKernel {
+    pub(crate) ops: Vec<OpId>,
+    pub(crate) stages: Vec<OwnedStage>,
 }
 
-fn owned_stage(kind: &OpKind) -> Result<OwnedStage> {
+pub(crate) fn owned_stage(kind: &OpKind) -> Result<OwnedStage> {
     match kind {
         OpKind::Filter { predicate } => Ok(OwnedStage::Filter {
             can_panic: predicate.contains_udf(),
@@ -764,9 +740,9 @@ struct GroupKernel {
 /// Join hash table keyed by the *cached* key hash.
 ///
 /// Build computes each row's key hash exactly once and stores it as the
-/// map key; probe computes each row's hash once (column-at-a-time in
-/// columnar mode) and reuses it for the lookup, instead of re-walking the
-/// key `Value`s through the map's hasher on every probe. Hash collisions
+/// map key; probe computes each row's hash once (column-at-a-time per
+/// morsel) and reuses it for the lookup, instead of re-walking the key
+/// `Value`s through the map's hasher on every probe. Hash collisions
 /// keep their keys in insertion order, so per-key match lists preserve the
 /// deterministic global row order.
 /// Build-side rows bucketed by key hash: each entry keeps the exact key
@@ -907,7 +883,7 @@ fn read_morsel(op: OpId, pidx: usize, items: &[DataItem]) -> TaskOut {
     TaskOut::Read { rows }
 }
 
-fn chain_morsel<S: ProvenanceSink>(
+pub(crate) fn chain_morsel<S: ProvenanceSink>(
     kernel: &ChainKernel,
     pidx: usize,
     rows: &[Row],
@@ -1045,19 +1021,6 @@ fn join_key(item: &DataItem, paths: &[Path]) -> Option<Vec<Value>> {
     Some(key)
 }
 
-/// Borrowing variant of [`join_key`]: probe rows hash and compare their
-/// key without cloning a single value.
-fn join_key_ref<'a>(item: &'a DataItem, paths: &[Path]) -> Option<Vec<&'a Value>> {
-    let mut key = Vec::with_capacity(paths.len());
-    for p in paths {
-        match p.eval(item) {
-            Some(v) if !v.is_null() => key.push(v),
-            _ => return None, // null keys never join
-        }
-    }
-    Some(key)
-}
-
 /// Builds the join hash table over the (by convention right) input,
 /// computing each row's key hash exactly once. Rows are visited in
 /// partition order, so per-key match lists preserve the deterministic
@@ -1075,41 +1038,9 @@ fn join_build(right: &Partitions, right_paths: &[Path]) -> JoinBuild {
     build
 }
 
+/// Probes one morsel: key values and cached hashes are computed
+/// column-at-a-time for the whole morsel before any table lookup.
 fn join_probe<S: ProvenanceSink>(
-    op: OpId,
-    pidx: usize,
-    build: &JoinBuild,
-    left_paths: &[Path],
-    rows: &[Row],
-) -> Result<TaskOut> {
-    let mut ids = IdGen::new(op, pidx);
-    let mut out = Vec::with_capacity(rows.len());
-    let mut assoc: Vec<(Option<ItemId>, Option<ItemId>, ItemId)> =
-        Vec::with_capacity(if S::ENABLED { rows.len() } else { 0 });
-    for lrow in rows {
-        fault::check(op, lrow.id)?;
-        let Some(k) = join_key_ref(&lrow.item, left_paths) else {
-            continue;
-        };
-        let hash = crate::hash::hash_value_refs(&k);
-        if let Some(matches) = build.get(&k, hash) {
-            for rrow in matches {
-                let item = lrow.item.merged(&rrow.item);
-                let id = ids.next();
-                out.push(Row { id, item });
-                if S::ENABLED {
-                    assoc.push((Some(lrow.id), Some(rrow.id), id));
-                }
-            }
-        }
-    }
-    Ok(TaskOut::Binary { rows: out, assoc })
-}
-
-/// Columnar probe: key values and cached hashes are computed
-/// column-at-a-time for the whole morsel before any table lookup. Output
-/// rows, ids, and associations are identical to [`join_probe`].
-fn join_probe_columnar<S: ProvenanceSink>(
     op: OpId,
     pidx: usize,
     build: &JoinBuild,
@@ -1252,18 +1183,17 @@ fn grace_probe_morsel(
     start_ordinal: u64,
     bucket: usize,
     build: &JoinBuild,
-    left_paths: &[Path],
+    keys: &crate::vector::ColKeys,
     rows: &[Row],
 ) -> TaskResult {
     let mut out = Vec::new();
-    for (i, lrow) in rows.iter().enumerate() {
+    for (i, (lrow, slot)) in rows.iter().zip(keys.probe_keys(rows)).enumerate() {
         if bucket == 0 {
             fault::check(op, lrow.id)?;
         }
-        let Some(k) = join_key_ref(&lrow.item, left_paths) else {
+        let Some((k, hash)) = slot else {
             continue;
         };
-        let hash = crate::hash::hash_value_refs(&k);
         if grace_bucket(hash) != bucket {
             continue;
         }
@@ -1310,24 +1240,10 @@ fn union_morsel<S: ProvenanceSink>(
 }
 
 /// Hash-partitions a morsel's rows into `parts` buckets by grouping key.
-fn shuffle_morsel(keys: &[GroupKey], parts: usize, rows: &[Row]) -> Vec<Vec<Row>> {
-    let mut buckets: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
-    for row in rows {
-        let key: Vec<Value> = keys.iter().map(|k| key_value(&row.item, &k.path)).collect();
-        let bucket = (hash_one(&key) as usize) % parts;
-        buckets[bucket].push(row.clone());
-    }
-    buckets
-}
-
-/// Columnar shuffle: bucket hashes are computed column-at-a-time over the
-/// morsel's key columns without cloning a single key value; buckets are
-/// bit-identical to [`shuffle_morsel`]'s.
-fn shuffle_morsel_columnar(
-    keys: &crate::vector::ColKeys,
-    parts: usize,
-    rows: &[Row],
-) -> Vec<Vec<Row>> {
+/// Bucket hashes are computed column-at-a-time over the morsel's key
+/// columns without cloning a single key value; a row lands in bucket
+/// `hash_one(&key_values) % parts`.
+fn shuffle_morsel(keys: &crate::vector::ColKeys, parts: usize, rows: &[Row]) -> Vec<Vec<Row>> {
     let mut buckets: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
     for (row, b) in rows.iter().zip(keys.shuffle_buckets(rows, parts)) {
         buckets[b].push(row.clone());
@@ -1509,7 +1425,8 @@ struct Scheduler<'a, S: ProvenanceSink> {
     op_panics: Vec<u64>,
     /// Morsel size distribution (always collected; pure counters).
     morsel_stats: MorselStats,
-    /// Columnar-path counters (only meaningful when `config.columnar`).
+    /// Vectorized-kernel counters; `fallback_units` counts the chains
+    /// that ran on the row kernel instead.
     col_stats: ColumnarStats,
     /// Jobs handed to the pool (vs run inline) this run.
     pool_jobs: u64,
@@ -1708,27 +1625,23 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                     .collect::<Result<Vec<_>>>()?;
                 let input = self.input(head.inputs[0])?;
                 let total = input.total_rows();
-                if self.config.columnar {
-                    // Vectorize the whole unit when the planner accepts it;
-                    // otherwise the unit falls back to the row path (UDF
-                    // stages, duplicate select labels).
-                    if let Some(ck) = crate::vector::plan_columnar(chain_ops.clone(), &stages) {
-                        let ck = Arc::new(ck);
-                        let kernel: Arc<RowKernel> = Arc::new(move |p, _start, rows: &[Row]| {
-                            crate::vector::col_chain_morsel::<S>(&ck, p, rows)
-                        });
-                        let jobs = self.plan_row_jobs(&input, 0, total, kernel);
-                        self.states[u].out_parts = input.n_parts();
-                        return self.dispatch(u, Phase::Single, jobs, total);
-                    }
-                    self.col_stats.fallback_units += 1;
-                }
-                let ck = Arc::new(ChainKernel {
-                    ops: chain_ops,
-                    stages,
-                });
+                // The unit is vectorized unless its own plan rules that out
+                // (a stage hosting user code, duplicate select labels): then
+                // the whole unit runs on the row kernel.
                 let kernel: Arc<RowKernel> =
-                    Arc::new(move |p, _start, rows: &[Row]| chain_morsel::<S>(&ck, p, rows));
+                    match crate::vector::plan_columnar(chain_ops.clone(), &stages) {
+                        Some(ck) => Arc::new(move |p, _start, rows: &[Row]| {
+                            crate::vector::col_chain_morsel::<S>(&ck, p, rows)
+                        }),
+                        None => {
+                            self.col_stats.fallback_units += 1;
+                            let ck = ChainKernel {
+                                ops: chain_ops,
+                                stages,
+                            };
+                            Arc::new(move |p, _start, rows: &[Row]| chain_morsel::<S>(&ck, p, rows))
+                        }
+                    };
                 let jobs = self.plan_row_jobs(&input, 0, total, kernel);
                 self.states[u].out_parts = input.n_parts();
                 self.dispatch(u, Phase::Single, jobs, total)
@@ -1858,19 +1771,10 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                 }
                 let total = input.total_rows();
                 let parts = self.parts;
-                let shuffle: Arc<RowKernel> = if self.config.columnar {
-                    let ckeys = Arc::new(crate::vector::ColKeys::compile_group(keys));
-                    Arc::new(move |_p, _start, rows: &[Row]| {
-                        Ok(TaskOut::Shuffle(shuffle_morsel_columnar(
-                            &ckeys, parts, rows,
-                        )))
-                    })
-                } else {
-                    let keys = Arc::new(keys.clone());
-                    Arc::new(move |_p, _start, rows: &[Row]| {
-                        Ok(TaskOut::Shuffle(shuffle_morsel(&keys, parts, rows)))
-                    })
-                };
+                let ckeys = crate::vector::ColKeys::compile_group(keys);
+                let shuffle: Arc<RowKernel> = Arc::new(move |_p, _start, rows: &[Row]| {
+                    Ok(TaskOut::Shuffle(shuffle_morsel(&ckeys, parts, rows)))
+                });
                 let jobs = self.plan_row_jobs(&input, 0, total, shuffle);
                 self.states[u].aux = Some(Aux::Group { kernel });
                 self.dispatch(u, Phase::Shuffle, jobs, total)
@@ -2283,18 +2187,10 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                         };
                         let op = self.ops[self.units[u].start].id;
                         let total = left.total_rows();
-                        let ckeys = self
-                            .config
-                            .columnar
-                            .then(|| Arc::new(crate::vector::ColKeys::compile_paths(&left_paths)));
-                        let kernel: Arc<RowKernel> = match ckeys {
-                            Some(ckeys) => Arc::new(move |p, _start, rows: &[Row]| {
-                                join_probe_columnar::<S>(op, p, &build, &ckeys, rows)
-                            }),
-                            None => Arc::new(move |p, _start, rows: &[Row]| {
-                                join_probe::<S>(op, p, &build, &left_paths, rows)
-                            }),
-                        };
+                        let ckeys = crate::vector::ColKeys::compile_paths(&left_paths);
+                        let kernel: Arc<RowKernel> = Arc::new(move |p, _start, rows: &[Row]| {
+                            join_probe::<S>(op, p, &build, &ckeys, rows)
+                        });
                         let jobs = self.plan_row_jobs(&left, 0, total, kernel);
                         self.states[u].out_parts = left.n_parts();
                         self.dispatch(u, Phase::Probe, jobs, total)
@@ -2490,9 +2386,9 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
             self.op_reloads[op as usize] += 1;
             grace_bucket_build(bucket.load()?, &right_paths)
         };
-        let build = Arc::new(build);
+        let ckeys = crate::vector::ColKeys::compile_paths(&left_paths);
         let kernel: Arc<RowKernel> = Arc::new(move |_p, start, rows: &[Row]| {
-            grace_probe_morsel(op, start, b, &build, &left_paths, rows)
+            grace_probe_morsel(op, start, b, &build, &ckeys, rows)
         });
         let total = left.total_rows();
         let jobs = self.plan_row_jobs(&left, 0, total, kernel);
@@ -2601,15 +2497,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                 self.set_output(op, parts)?;
             }
             OpKind::Filter { .. } | OpKind::Select { .. } | OpKind::Map { .. } => {
-                let columnar = matches!(
-                    results.iter().flatten().next(),
-                    Some(Ok(TaskOut::ColChain { .. }))
-                );
-                if columnar {
-                    self.finalize_col_chain(start, len, out_parts, &task_pidx, &mut results)?;
-                } else {
-                    self.finalize_row_chain(start, len, out_parts, &task_pidx, &mut results)?;
-                }
+                self.finalize_chain(start, len, out_parts, &task_pidx, &mut results)?;
             }
             OpKind::Flatten { .. } => {
                 let op = ops[start].id;
@@ -2725,85 +2613,16 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
         self.unit_finished(u)
     }
 
-    /// Row-path stitch for a fused filter/select/map chain: re-bases each
-    /// morsel's partition-local ids by the per-stage running offsets and
-    /// emits the per-stage association pairs stage-major, partition-ordered
-    /// — the batch sequence an unfused execution reports per operator.
-    fn finalize_row_chain(
-        &mut self,
-        start: usize,
-        len: usize,
-        out_parts: usize,
-        task_pidx: &[usize],
-        results: &mut [Option<TaskResult>],
-    ) -> Result<()> {
-        let ops = self.ops;
-        let n = len;
-        let chain_ids: Vec<OpId> = ops[start..start + len].iter().map(|o| o.id).collect();
-        let mut parts: Partitions = (0..out_parts).map(|_| Vec::new()).collect();
-        let mut assoc_parts: Vec<Vec<Vec<(ItemId, ItemId)>>> = vec![vec![Vec::new(); n]; out_parts];
-        let mut offsets: Vec<Vec<u64>> = vec![vec![0u64; n]; out_parts];
-        let mut totals = vec![0usize; n];
-        for (t, &p) in task_pidx.iter().enumerate() {
-            let Some(Ok(TaskOut::Chain {
-                mut rows,
-                mut assocs,
-                counts,
-                err: _,
-                panics: _,
-            })) = results[t].take()
-            else {
-                return Err(EngineError::Internal("chain task shape mismatch".into()));
-            };
-            let off = &mut offsets[p];
-            for s in 0..n {
-                for entry in assocs[s].iter_mut() {
-                    if s > 0 {
-                        entry.0 += off[s - 1];
-                    }
-                    entry.1 += off[s];
-                }
-            }
-            let last = off[n - 1];
-            for r in &mut rows {
-                r.id += last;
-            }
-            for s in 0..n {
-                totals[s] += counts[s];
-                off[s] += counts[s] as u64;
-                assoc_parts[p][s].append(&mut assocs[s]);
-            }
-            parts[p].append(&mut rows);
-        }
-        if S::ENABLED {
-            // Stage-major, partition-ordered emission — the batch
-            // sequence an unfused execution reports per operator.
-            for (s, &op) in chain_ids.iter().enumerate() {
-                for part in assoc_parts.iter() {
-                    if !part[s].is_empty() {
-                        self.sink.unary_batch(op, &part[s]);
-                    }
-                }
-            }
-        }
-        for (s, &op) in chain_ids.iter().enumerate() {
-            self.op_counts[op as usize] = totals[s];
-            if s + 1 < n {
-                // Fused-away intermediate: nothing consumes its rows.
-                self.outputs[op as usize] = Some(UnitOutput::Mem(Arc::new(Vec::new())));
-            }
-        }
-        self.set_output(chain_ids[n - 1], parts)?;
-        Ok(())
-    }
-
-    /// Columnar-path stitch: morsels report per-stage associations as either
-    /// contiguous id *runs* or explicit pairs. Runs from adjacent morsels of
-    /// the same partition coalesce (offset re-basing makes them contiguous),
-    /// so a whole partition's select stage usually emits as one
-    /// [`ProvenanceSink::unary_run`] instead of per-row pushes. Association
-    /// *content* is identical to the row path; only the batching differs.
-    fn finalize_col_chain(
+    /// Stitch for a fused filter/select/map chain: re-bases each morsel's
+    /// partition-local ids by the per-stage running offsets and emits the
+    /// per-stage associations stage-major, partition-ordered — the batch
+    /// sequence an unfused execution reports per operator. Vectorized
+    /// morsels report a stage as a contiguous id *run* or as explicit pairs
+    /// (row-kernel morsels: always pairs). Runs from adjacent morsels of the
+    /// same partition coalesce (offset re-basing makes them contiguous), so
+    /// a whole partition's select stage usually emits as one
+    /// [`ProvenanceSink::unary_run`] instead of per-row pushes.
+    fn finalize_chain(
         &mut self,
         start: usize,
         len: usize,
@@ -2884,22 +2703,34 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
         let mut offsets: Vec<Vec<u64>> = vec![vec![0u64; n]; out_parts];
         let mut totals = vec![0usize; n];
         for (t, &p) in task_pidx.iter().enumerate() {
-            let Some(Ok(TaskOut::ColChain {
-                mut rows,
-                stages,
-                counts,
-                rows_in,
-                batches,
-                filter_in,
-                filter_kept,
-            })) = results[t].take()
-            else {
-                return Err(EngineError::Internal("chain task shape mismatch".into()));
+            let (mut rows, stages, counts) = match results[t].take() {
+                Some(Ok(TaskOut::ColChain {
+                    rows,
+                    stages,
+                    counts,
+                    rows_in,
+                    batches,
+                    filter_in,
+                    filter_kept,
+                })) => {
+                    self.col_stats.batches += batches as u64;
+                    self.col_stats.batch_rows.observe(rows_in as u64);
+                    self.col_stats.filter_in += filter_in;
+                    self.col_stats.filter_kept += filter_kept;
+                    (rows, stages, counts)
+                }
+                // A unit on the row kernel; failed morsels never get here.
+                Some(Ok(TaskOut::Chain {
+                    rows,
+                    assocs,
+                    counts,
+                    ..
+                })) => {
+                    let stages = assocs.into_iter().map(StageAssoc::Pairs).collect();
+                    (rows, stages, counts)
+                }
+                _ => return Err(EngineError::Internal("chain task shape mismatch".into())),
             };
-            self.col_stats.batches += batches as u64;
-            self.col_stats.batch_rows.observe(rows_in as u64);
-            self.col_stats.filter_in += filter_in;
-            self.col_stats.filter_kept += filter_kept;
             let off = &mut offsets[p];
             if S::ENABLED {
                 for (s, stage) in stages.into_iter().enumerate() {
@@ -2938,8 +2769,8 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
             parts[p].append(&mut rows);
         }
         if S::ENABLED {
-            // Same stage-major, partition-ordered discipline as the row
-            // path; run-shaped batches go through the range entry point.
+            // Stage-major, partition-ordered emission; run-shaped batches
+            // go through the range entry point.
             for (s, &op) in chain_ids.iter().enumerate() {
                 for part in acc.iter_mut() {
                     match std::mem::replace(&mut part[s], AccAssoc::Empty) {
@@ -3061,6 +2892,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                 "group-partitioned spill for a non-aggregation consumer".into(),
             ));
         };
+        let ckeys = crate::vector::ColKeys::compile_group(keys);
         let dir = self.spill_dir()?;
         let n = self.parts;
         let mut writers = Vec::with_capacity(n);
@@ -3075,7 +2907,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
         let chunk = self.config.morsel_len(total).max(1);
         for rows in parts {
             for c in rows.chunks(chunk) {
-                for (b, bucket) in shuffle_morsel(keys, n, c).iter().enumerate() {
+                for (b, bucket) in shuffle_morsel(&ckeys, n, c).iter().enumerate() {
                     writers[b].append(bucket)?;
                 }
             }
@@ -3171,9 +3003,7 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                 capture_spill_bytes: 0,
             });
         }
-        if self.config.columnar {
-            report.columnar = Some(self.col_stats.clone());
-        }
+        report.columnar = Some(self.col_stats.clone());
         if self.obs.metrics() {
             report.elapsed_ns = self.obs.now_ns();
             report.morsel_durations = self.obs.duration_summary();
@@ -3470,6 +3300,66 @@ mod tests {
             assert!(ExecConfig::with_partitions(2).fusion, "{name}=0");
             std::env::remove_var(name);
         }
+    }
+
+    /// Which chain kernel runs a unit is read off the unit's own plan: a
+    /// `map` sends its chain to the row kernel, everything else is
+    /// vectorized and reports whole-partition id ranges — and no
+    /// environment variable has a say.
+    #[test]
+    fn only_user_code_takes_the_row_chain_kernel() {
+        struct Capturing;
+        impl ProvenanceSink for Capturing {
+            const ENABLED: bool = true;
+        }
+        let mut c = Context::new();
+        c.register(
+            "t",
+            items_of((0..40).map(|i| vec![("x", Value::Int(i))]).collect()),
+        );
+        let chain = |with_map: bool| {
+            let mut b = ProgramBuilder::new();
+            let r = b.read("t");
+            let mut s = b.select(r, vec![NamedExpr::aliased("y", "x")]);
+            if with_map {
+                s = b.map(
+                    s,
+                    MapUdf {
+                        name: "id".into(),
+                        f: Arc::new(|d| d.clone()),
+                        output_schema: None,
+                    },
+                );
+            }
+            let s = b.select(s, vec![NamedExpr::aliased("z", "y")]);
+            b.build(s)
+        };
+        // Many morsels per partition: a range per (partition, stage) means
+        // the stitcher coalesced every morsel's run.
+        let stats = |with_map: bool| {
+            let cfg = ExecConfig::with_partitions(2).workers(2).morsel_rows(3);
+            let out = run(&chain(with_map), &c, cfg, &Capturing).unwrap();
+            assert_eq!(out.rows.len(), 40);
+            out.report.columnar.expect("every run reports kernel stats")
+        };
+        let check = || {
+            let plain = stats(false);
+            assert_eq!(plain.fallback_units, 0);
+            assert_eq!((plain.id_ranges, plain.id_pairs), (4, 0));
+            let mapped = stats(true);
+            assert_eq!(mapped.fallback_units, 1);
+            assert_eq!((mapped.id_ranges, mapped.batches), (0, 0));
+        };
+        check();
+        // The retired knob (spelled in two pieces so a grep for it finds no
+        // live reference). Nothing reads it any more, so setting it disturbs
+        // no concurrently running test.
+        let retired = ["PEBBLE", "COLUMNAR"].join("_");
+        let before = format!("{:?}", ExecConfig::default());
+        std::env::set_var(&retired, "0");
+        assert_eq!(format!("{:?}", ExecConfig::default()), before);
+        check();
+        std::env::remove_var(&retired);
     }
 
     /// `union(r, r)` over a `rows`-item source `t`.

@@ -1,10 +1,11 @@
 //! Vectorized (columnar) kernels for fused per-row chains and key hashing.
 //!
-//! The row kernels in [`crate::exec`] interpret expressions per row:
-//! every path access re-scans the item's fields comparing attribute names
-//! by *content*, every select builds its output through
-//! [`DataItem::push`]'s per-field duplicate scan, and every comparison
-//! clones both operands. The columnar kernels compiled here do the same
+//! These are the engine's kernels for filter/select chains, group shuffles
+//! and join probes — not a mode. The row chain kernel in [`crate::exec`]
+//! interprets expressions per row: every path access re-scans the item's
+//! fields comparing attribute names by *content*, every select builds its
+//! output through [`DataItem::push`]'s per-field duplicate scan, and every
+//! comparison clones both operands. The kernels compiled here do the same
 //! work batch-at-a-time instead:
 //!
 //! * paths compile to interned [`Label`] sequences once per unit, so the
@@ -19,10 +20,13 @@
 //!   batch — so 1:1 stages report their associations as contiguous
 //!   [`StageAssoc::Run`]s instead of materialized per-row pairs.
 //!
-//! Planning is all-or-nothing per unit: any stage the planner cannot
-//! vectorize (a `map`/scalar UDF, a select with duplicate output labels)
-//! sends the whole unit down the row path, which remains the referee for
-//! byte-identical rows, ids, and association tables.
+//! Planning is all-or-nothing per unit and decided from the plan alone:
+//! any stage the planner cannot vectorize (a `map`/scalar UDF, a select
+//! with duplicate output labels) sends the whole unit to the row chain
+//! kernel, whose per-row panic containment is the contract user code runs
+//! under. The two chain kernels are specified byte-identical in rows, ids
+//! and expanded association tables; the differential test at the bottom of
+//! this file holds them to it on generated chains.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -925,5 +929,306 @@ mod tests {
                 .collect();
             assert_eq!(b, (hash_one(&key) as usize) % 5);
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Row chain kernel vs vectorized chain kernel, morsel by morsel
+    // -----------------------------------------------------------------
+
+    use crate::exec::{chain_morsel, owned_stage, ChainKernel};
+    use crate::expr::ArithOp;
+    use crate::op::{NamedExpr, OpKind};
+    use crate::sink::NoSink;
+
+    /// A sink type with capture on. The kernels never call a sink — they
+    /// only read `S::ENABLED` to decide whether to build associations.
+    struct Recording;
+    impl ProvenanceSink for Recording {
+        const ENABLED: bool = true;
+    }
+
+    struct Gen(u64);
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+            of[self.below(of.len())]
+        }
+    }
+
+    /// Source rows: `n` is missing, null or an int; `u` is sometimes not an
+    /// item (a sub-path walk must then yield nothing); `xs` is a short bag.
+    fn source_item(i: i64) -> DataItem {
+        let mut d = DataItem::from_fields([
+            ("a", Value::Int(i % 7)),
+            ("b", Value::str(format!("s{}", i % 5))),
+        ]);
+        match i % 4 {
+            0 => {}
+            1 => d.push("n", Value::Null),
+            _ => d.push("n", Value::Int(i)),
+        }
+        if i % 6 == 5 {
+            d.push("u", Value::Int(i));
+        } else {
+            let user = [("id", Value::Int(i % 3)), ("name", Value::str("n"))];
+            d.push("u", Value::Item(DataItem::from_fields(user)));
+        }
+        d.push("xs", Value::Bag((0..i % 3).map(Value::Int).collect()));
+        d
+    }
+
+    // Every stage draws its paths from one vocabulary; a select that dropped
+    // or re-typed an attribute just makes later references miss, which both
+    // kernels must agree on too.
+    const NAMES: [&str; 5] = ["a", "b", "n", "u", "xs"];
+    const INTS: [&str; 3] = ["a", "n", "u.id"];
+    const STRS: [&str; 2] = ["b", "u.name"];
+    const CMPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// `interp` admits the shapes only the expression interpreter evaluates
+    /// (and so a chain that is not col-ready end to end).
+    fn gen_leaf_pred(g: &mut Gen, interp: bool) -> Expr {
+        let lit = Expr::lit(g.below(6) as i64);
+        let int = Expr::col(g.pick(&INTS));
+        match g.below(if interp { 10 } else { 6 }) {
+            // Col-ready shapes.
+            0..=2 => Expr::Cmp(g.pick(&CMPS), Box::new(int), Box::new(lit)),
+            3 => Expr::Cmp(g.pick(&CMPS), Box::new(lit), Box::new(int)),
+            4 => Expr::col(g.pick(&STRS)).contains(Expr::lit(g.pick(&["s", "1", "n", "zz"]))),
+            // A missing root compares false; negated it keeps everything.
+            5 => Expr::col("zz").eq(lit).not(),
+            // Interpreted shapes: column vs column, null test, positional
+            // path, a comparison against a null literal.
+            6 => int.le(Expr::col(g.pick(&INTS))),
+            7 => Expr::IsNull(Box::new(int)).not(),
+            8 => Expr::col("xs[1]").ge(lit).not(),
+            _ => int.eq(Expr::Lit(Value::Null)).not(),
+        }
+    }
+
+    fn gen_pred(g: &mut Gen, interp: bool) -> Expr {
+        let a = gen_leaf_pred(g, interp);
+        match g.below(6) {
+            0 => a.and(gen_leaf_pred(g, interp)),
+            1 | 2 => a.or(gen_leaf_pred(g, interp)),
+            3 => a.not(),
+            _ => a,
+        }
+    }
+
+    fn gen_proj(g: &mut Gen, depth: usize, interp: bool) -> SelectExpr {
+        match g.below(12) {
+            0 => SelectExpr::path("zz"),
+            1 => SelectExpr::path("u.nope"),
+            2 if interp => SelectExpr::path("xs[1]"),
+            3 if interp => SelectExpr::Computed(Expr::Arith(
+                ArithOp::Add,
+                Box::new(Expr::col(g.pick(&INTS))),
+                Box::new(Expr::lit(1i64)),
+            )),
+            4 | 5 if depth < 2 => SelectExpr::Struct(
+                (0..1 + g.below(2))
+                    .map(|j| (format!("f{j}"), gen_proj(g, depth + 1, interp)))
+                    .collect(),
+            ),
+            6 | 7 => SelectExpr::path(g.pick(&INTS)),
+            8 => SelectExpr::path(g.pick(&STRS)),
+            _ => SelectExpr::path(g.pick(&NAMES)),
+        }
+    }
+
+    /// Re-emits a subset of the vocabulary's roots (`a` always, so later
+    /// filters keep something to discriminate on), each either copied or
+    /// replaced by a generated projection.
+    fn gen_select(g: &mut Gen, interp: bool) -> Vec<NamedExpr> {
+        let mut out = vec![NamedExpr::path("a")];
+        for name in &NAMES[1..] {
+            match g.below(4) {
+                0 => {}
+                1 => out.push(NamedExpr::new(*name, gen_proj(g, 0, interp))),
+                _ => out.push(NamedExpr::path(name)),
+            }
+        }
+        out
+    }
+
+    fn gen_chain(g: &mut Gen) -> Vec<OpKind> {
+        let interp = g.below(5) < 3;
+        (0..1 + g.below(6))
+            .map(|_| match g.below(5) {
+                0..=2 => OpKind::Filter {
+                    predicate: gen_pred(g, interp),
+                },
+                _ => OpKind::Select {
+                    exprs: gen_select(g, interp),
+                },
+            })
+            .collect()
+    }
+
+    fn expand(stage: StageAssoc) -> Vec<(ItemId, ItemId)> {
+        match stage {
+            StageAssoc::Run {
+                in_first,
+                out_first,
+                len,
+            } => (0..len as u64)
+                .map(|k| (in_first + k, out_first + k))
+                .collect(),
+            StageAssoc::Pairs(pairs) => pairs,
+        }
+    }
+
+    /// What one comparison saw, so the test can prove it was not vacuous.
+    #[derive(Default)]
+    struct Seen {
+        rows_out: usize,
+        runs: usize,
+        pairs: usize,
+    }
+
+    fn assert_kernels_agree<S: ProvenanceSink>(
+        row: &ChainKernel,
+        col: &ColChainKernel,
+        pidx: usize,
+        input: &[Row],
+        tag: &str,
+    ) -> Seen {
+        let Ok(TaskOut::Chain {
+            rows: row_rows,
+            assocs,
+            counts: row_counts,
+            err,
+            panics,
+        }) = chain_morsel::<S>(row, pidx, input)
+        else {
+            panic!("{tag}: row kernel returned no chain result");
+        };
+        let Ok(TaskOut::ColChain {
+            rows: col_rows,
+            stages,
+            counts: col_counts,
+            rows_in,
+            ..
+        }) = col_chain_morsel::<S>(col, pidx, input)
+        else {
+            panic!("{tag}: vectorized kernel returned no chain result");
+        };
+        assert!(err.is_none() && panics.iter().all(|&n| n == 0), "{tag}");
+        assert_eq!(row_rows, col_rows, "{tag}: rows");
+        assert_eq!(row_counts, col_counts, "{tag}: counts");
+        assert_eq!(rows_in, input.len(), "{tag}: rows_in");
+        let mut seen = Seen {
+            rows_out: col_rows.len(),
+            ..Seen::default()
+        };
+        for stage in &stages {
+            match stage {
+                StageAssoc::Run { .. } => seen.runs += 1,
+                StageAssoc::Pairs(_) => seen.pairs += 1,
+            }
+        }
+        let expanded: Vec<Vec<(ItemId, ItemId)>> = stages.into_iter().map(expand).collect();
+        if S::ENABLED {
+            assert_eq!(assocs, expanded, "{tag}: stage associations");
+        } else {
+            assert!(expanded.is_empty(), "{tag}: associations without a sink");
+            assert!(assocs.iter().all(Vec::is_empty), "{tag}");
+        }
+        seen
+    }
+
+    /// Generated filter/select chains — col-ready and not — over empty,
+    /// one-row, consecutive-id, non-consecutive-id and multi-morsel inputs:
+    /// both chain kernels give equal rows, counts and expanded stage
+    /// associations, with capture off and on.
+    #[test]
+    fn chain_kernels_agree_on_generated_chains() {
+        const CHAINS: usize = 600;
+        let items: Vec<DataItem> = (0..23).map(source_item).collect();
+        let pidx = 3;
+        let head = |seq: u64| (9u64 << 48) | ((pidx as u64) << 32) | seq;
+        let consecutive: Vec<Row> = (0u64..)
+            .zip(&items)
+            .map(|(i, item)| Row {
+                id: head(i),
+                item: item.clone(),
+            })
+            .collect();
+        // Key-sorted group-by output: ids are a permutation with gaps.
+        let scattered: Vec<Row> = (0u64..)
+            .zip(&items)
+            .map(|(i, item)| Row {
+                id: head((i * 7) % 23 * 2),
+                item: item.clone(),
+            })
+            .collect();
+
+        let mut g = Gen(0x9e37_79b9_7f4a_7c15);
+        let (mut col_ready, mut interpreted) = (0, 0);
+        let mut total = Seen::default();
+        for chain in 0..CHAINS {
+            let kinds = gen_chain(&mut g);
+            let ops: Vec<OpId> = (10..10 + kinds.len() as OpId).collect();
+            let stages = |kinds: &[OpKind]| -> Vec<_> {
+                kinds.iter().map(|k| owned_stage(k).unwrap()).collect()
+            };
+            let col = plan_columnar(ops.clone(), &stages(&kinds))
+                .unwrap_or_else(|| panic!("chain {chain}: UDF-free chain must vectorize"));
+            let row = ChainKernel {
+                ops,
+                stages: stages(&kinds),
+            };
+            let all_ready = col.stages.iter().all(|s| match s {
+                ColStage::Filter { col_ready, .. } | ColStage::Select { col_ready, .. } => {
+                    *col_ready
+                }
+            });
+            if all_ready {
+                col_ready += 1;
+            } else {
+                interpreted += 1;
+            }
+            let morsel = 1 + g.below(7);
+            let mut inputs: Vec<(String, &[Row])> = vec![
+                ("empty".into(), &consecutive[..0]),
+                ("one row".into(), &consecutive[4..5]),
+                ("consecutive".into(), &consecutive),
+                ("scattered".into(), &scattered),
+            ];
+            for (m, chunk) in consecutive.chunks(morsel).enumerate() {
+                inputs.push((format!("morsel {m} of {morsel} rows"), chunk));
+            }
+            for (what, input) in inputs {
+                let tag = format!("chain {chain} ({kinds:?}), {what}");
+                assert_kernels_agree::<NoSink>(&row, &col, pidx, input, &tag);
+                let seen = assert_kernels_agree::<Recording>(&row, &col, pidx, input, &tag);
+                total.rows_out += seen.rows_out;
+                total.runs += seen.runs;
+                total.pairs += seen.pairs;
+            }
+        }
+        // Not vacuous: both planner outcomes, both association shapes, and
+        // chains that let rows through.
+        assert!(col_ready >= 200, "only {col_ready} col-ready chains");
+        assert!(interpreted >= 200, "only {interpreted} interpreted chains");
+        assert!(total.rows_out >= 10_000, "only {} rows out", total.rows_out);
+        assert!(total.runs >= 1_000, "only {} run stages", total.runs);
+        assert!(total.pairs >= 1_000, "only {} pair stages", total.pairs);
     }
 }

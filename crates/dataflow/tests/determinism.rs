@@ -226,9 +226,9 @@ fn assert_matrix_deterministic(program: &Program, ctx: &Context, partitions: usi
 }
 
 /// Concatenates each operator's event payloads into its association
-/// *table* — the durable artifact. The columnar path may batch
-/// differently (whole-partition id runs instead of per-morsel pair
-/// batches), but the tables themselves are specified byte-identical.
+/// *table* — the durable artifact. Batching may differ between shapes (a
+/// spilled capture chunk, a whole-partition id run), but the tables
+/// themselves are specified byte-identical.
 #[allow(clippy::type_complexity)]
 fn flatten_tables(
     per_op: &std::collections::BTreeMap<OpId, Vec<Event>>,
@@ -253,21 +253,27 @@ fn flatten_tables(
         .collect()
 }
 
-/// Columnar on/off × workers {1, 2, 7} × partitions {1, 2, 7}: rows,
-/// identifiers, operator counts, and association tables are byte-identical
-/// between the vectorized kernels and the row path at every configuration.
-fn assert_columnar_matrix(program: &Program, ctx: &Context) {
-    for partitions in [1, 2, 7] {
-        let baseline = observe(program, ctx, referee(partitions).columnar(false));
+/// Partitions × (memory budget, morsel rows) × workers {1, 2, 7}, each
+/// against the referee shape at the same partition count and no budget:
+/// rows, identifiers, operator counts, and association tables are
+/// byte-identical — spilling must be invisible in all of them.
+fn assert_table_matrix(
+    program: &Program,
+    ctx: &Context,
+    partitions: &[usize],
+    shapes: &[(usize, usize)],
+) {
+    for &parts in partitions {
+        let baseline = observe(program, ctx, referee(parts).mem_budget(0));
         let base_tables = flatten_tables(&baseline.2);
-        for workers in WORKER_COUNTS {
-            for columnar in [false, true] {
-                let cfg = ExecConfig::with_partitions(partitions)
+        for &(budget, morsel) in shapes {
+            for workers in WORKER_COUNTS {
+                let cfg = ExecConfig::with_partitions(parts)
                     .workers(workers)
-                    .morsel_rows(if workers == 1 { 0 } else { 7 })
-                    .columnar(columnar);
+                    .morsel_rows(morsel)
+                    .mem_budget(budget);
                 let got = observe(program, ctx, cfg);
-                let tag = format!("p={partitions} w={workers} columnar={columnar}");
+                let tag = format!("p={parts} budget={budget} m={morsel} w={workers}");
                 assert_eq!(baseline.0, got.0, "rows: {tag}");
                 assert_eq!(baseline.1, got.1, "op_counts: {tag}");
                 assert_eq!(base_tables, flatten_tables(&got.2), "assoc tables: {tag}");
@@ -276,54 +282,31 @@ fn assert_columnar_matrix(program: &Program, ctx: &Context) {
     }
 }
 
-/// Memory-budget axis: budget {unlimited, tight, pathological 1-byte with
-/// 1-row morsels} × workers {1, 2, 7} × columnar on/off. Spilling must be
-/// invisible in everything the determinism contract covers — rows,
-/// identifiers, operator counts, association tables — while the
-/// pathological budgets demonstrably spill.
-fn assert_spill_matrix(program: &Program, ctx: &Context, partitions: usize) {
-    let baseline = observe(program, ctx, referee(partitions).mem_budget(0));
-    let base_tables = flatten_tables(&baseline.2);
-    for (budget, morsel) in [(0usize, 0usize), (4096, 64), (1, 1)] {
-        for workers in WORKER_COUNTS {
-            for columnar in [false, true] {
-                let cfg = ExecConfig::with_partitions(partitions)
-                    .workers(workers)
-                    .morsel_rows(morsel)
-                    .columnar(columnar)
-                    .mem_budget(budget);
-                let got = observe(program, ctx, cfg);
-                let tag = format!("budget={budget} w={workers} columnar={columnar}");
-                assert_eq!(baseline.0, got.0, "rows: {tag}");
-                assert_eq!(baseline.1, got.1, "op_counts: {tag}");
-                assert_eq!(base_tables, flatten_tables(&got.2), "assoc tables: {tag}");
-            }
-        }
-    }
-}
+/// Budget {unlimited, tight, pathological 1-byte with 1-row morsels}.
+const BUDGET_SHAPES: [(usize, usize); 3] = [(0, 0), (4096, 64), (1, 1)];
 
 #[test]
 fn full_pipeline_deterministic_under_memory_budget() {
     let ctx = skewed_ctx();
-    assert_spill_matrix(&full_pipeline(), &ctx, 3);
+    assert_table_matrix(&full_pipeline(), &ctx, &[3], &BUDGET_SHAPES);
 }
 
 #[test]
 fn chain_pipeline_deterministic_under_memory_budget() {
     let ctx = skewed_ctx();
-    assert_spill_matrix(&chain_pipeline(), &ctx, 4);
+    assert_table_matrix(&chain_pipeline(), &ctx, &[4], &BUDGET_SHAPES);
 }
 
 #[test]
-fn full_pipeline_columnar_matches_row_path() {
+fn full_pipeline_tables_identical_across_partition_counts() {
     let ctx = skewed_ctx();
-    assert_columnar_matrix(&full_pipeline(), &ctx);
+    assert_table_matrix(&full_pipeline(), &ctx, &[1, 2, 7], &[(0, 7)]);
 }
 
 #[test]
-fn chain_pipeline_columnar_matches_row_path() {
+fn chain_pipeline_tables_identical_across_partition_counts() {
     let ctx = skewed_ctx();
-    assert_columnar_matrix(&chain_pipeline(), &ctx);
+    assert_table_matrix(&chain_pipeline(), &ctx, &[1, 2, 7], &[(0, 7)]);
 }
 
 #[test]

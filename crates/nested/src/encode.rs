@@ -383,6 +383,18 @@ impl StringTable {
         Self::default()
     }
 
+    /// Empty table with room for `strings` distinct strings, so an encoder
+    /// that knows its input size does not rehash the maps as they grow.
+    pub fn with_capacity(strings: usize) -> Self {
+        StringTable {
+            index: HashMap::with_capacity_and_hasher(strings, FxBuild::default()),
+            by_ptr: HashMap::with_capacity_and_hasher(strings, FxBuild::default()),
+            pins: Vec::new(),
+            strings: Vec::with_capacity(strings),
+            labels: Vec::with_capacity(strings),
+        }
+    }
+
     /// Interns `s`, returning its dense id.
     pub fn intern(&mut self, s: &str) -> u64 {
         if let Some(&id) = self.index.get(s) {

@@ -14,7 +14,11 @@
 /// gained `query_durations`. Every duration field carries the `_ns` suffix
 /// and is in nanoseconds; quantiles are bucket upper bounds clamped to the
 /// observed maximum.
-pub const REPORT_SCHEMA_VERSION: u64 = 2;
+///
+/// v3: the `backend` section lost its row-forcing flag (the vectorized
+/// kernels are the engine, there is no row path to force); `columnar` stays
+/// nullable for hand-built reports but every engine run fills it.
+pub const REPORT_SCHEMA_VERSION: u64 = 3;
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -181,8 +185,8 @@ pub struct ProvenanceStats {
     pub structural_bytes: u64,
 }
 
-/// Columnar-execution statistics (populated only when the run executed
-/// with the columnar kernels enabled).
+/// Vectorized-kernel statistics. The engine fills them for every run;
+/// hand-built reports may leave the section out.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnarStats {
     /// Column batches materialized by vectorized select stages.
@@ -198,8 +202,8 @@ pub struct ColumnarStats {
     pub id_ranges: u64,
     /// Provenance associations emitted as expanded per-row pairs.
     pub id_pairs: u64,
-    /// Chain units that fell back to the row path (UDF stages, duplicate
-    /// select labels).
+    /// Chain units that ran on the row kernel because their plan hosts
+    /// user code (UDF stages) or a select with duplicate labels.
     pub fallback_units: u64,
 }
 
@@ -261,8 +265,6 @@ pub struct SpillStats {
 pub struct BackendStats {
     /// Registry name of the backend (`structural`, `whynot`, …).
     pub name: String,
-    /// Whether the backend forced the row execution path.
-    pub forces_row_path: bool,
 }
 
 /// A structured, serializable summary of one engine run.
@@ -303,7 +305,7 @@ pub struct RunReport {
     pub pool: Option<PoolStats>,
     /// Provenance size breakdown (capture runs only).
     pub provenance: Option<ProvenanceStats>,
-    /// Columnar-execution statistics (columnar runs only).
+    /// Vectorized-kernel statistics (every engine run).
     pub columnar: Option<ColumnarStats>,
     /// Query-service counters (serving sessions only).
     pub serve: Option<ServeStats>,
@@ -491,9 +493,8 @@ impl RunReport {
         }
         match &self.backend {
             Some(b) => s.push_str(&format!(
-                "  \"backend\": {{\"name\": \"{}\", \"forces_row_path\": {}}},\n",
+                "  \"backend\": {{\"name\": \"{}\"}},\n",
                 json_escape(&b.name),
-                b.forces_row_path,
             )),
             None => s.push_str("  \"backend\": null,\n"),
         }
@@ -532,7 +533,7 @@ mod tests {
         let r = RunReport::default();
         assert_eq!(r.schema_version, REPORT_SCHEMA_VERSION);
         let json = r.to_json();
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"error\": null"));
         assert!(json.contains("\"pool\": null"));
     }

@@ -1,9 +1,9 @@
-//! Schema-compatibility pin for the v2 run report.
+//! Schema-compatibility pin for the v3 run report.
 //!
 //! A fully-populated [`RunReport`] must render **byte-for-byte** to the
 //! pinned JSON below. Any key rename, reorder, or removal — or a change
 //! to the number formatting — fails this test and forces a conscious
-//! [`REPORT_SCHEMA_VERSION`] decision; additions within v2 must extend
+//! [`REPORT_SCHEMA_VERSION`] decision; additions within v3 must extend
 //! the fixture here in the same commit.
 
 use pebble_obs::report::{
@@ -120,21 +120,20 @@ fn full_report() -> RunReport {
     });
     r.backend = Some(BackendStats {
         name: "structural".into(),
-        forces_row_path: false,
     });
     r
 }
 
-const PINNED_V2: &str = include_str!("fixtures/report_v2.json");
+const PINNED_V3: &str = include_str!("fixtures/report_v3.json");
 
 #[test]
-fn v2_report_renders_byte_identically_to_pin() {
-    assert_eq!(REPORT_SCHEMA_VERSION, 2, "fixture pins the v2 layout");
+fn v3_report_renders_byte_identically_to_pin() {
+    assert_eq!(REPORT_SCHEMA_VERSION, 3, "fixture pins the v3 layout");
     let json = full_report().to_json();
     assert_eq!(
-        json, PINNED_V2,
-        "RunReport::to_json diverged from the pinned v2 fixture — \
-         bump REPORT_SCHEMA_VERSION or update tests/fixtures/report_v2.json \
+        json, PINNED_V3,
+        "RunReport::to_json diverged from the pinned v3 fixture — \
+         bump REPORT_SCHEMA_VERSION or update tests/fixtures/report_v3.json \
          in the same commit"
     );
 }
@@ -145,7 +144,7 @@ fn v2_report_renders_byte_identically_to_pin() {
 #[test]
 #[ignore]
 fn regenerate_fixture() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/report_v2.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/report_v3.json");
     std::fs::write(path, full_report().to_json()).expect("write fixture");
 }
 

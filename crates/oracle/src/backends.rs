@@ -27,7 +27,7 @@
 //!
 //! On top of the reference comparison, every engine answer is required
 //! to be byte-identical across execution shapes (partitions {2,7},
-//! workers 2 with tiny morsels, columnar, one-byte spill budget) —
+//! workers 2 with tiny morsels, one-byte spill budget) —
 //! backend answers render only identifier-free quantities, so any drift
 //! is a determinism bug. Malformed queries are fed to both sides on
 //! every seed and must fail with `Display`-identical errors.
@@ -525,7 +525,7 @@ pub fn check_backends(gen: &Generated) -> Option<Divergence> {
 
 /// The execution shapes every backend answer must be byte-identical across
 /// (the determinism matrix of PR 2/PR 6, applied to rendered answers).
-fn shape_matrix() -> [(&'static str, ExecConfig); 5] {
+fn shape_matrix() -> [(&'static str, ExecConfig); 4] {
     [
         ("partitions 2", ExecConfig::with_partitions(2)),
         ("partitions 7", ExecConfig::with_partitions(7)),
@@ -533,7 +533,6 @@ fn shape_matrix() -> [(&'static str, ExecConfig); 5] {
             "workers 2 / morsel 3",
             ExecConfig::with_partitions(1).workers(2).morsel_rows(3),
         ),
-        ("columnar", ExecConfig::with_partitions(1).columnar(true)),
         (
             "spill budget 1",
             ExecConfig::with_partitions(1).mem_budget(1),

@@ -23,15 +23,18 @@
 //! * **partition-invariant** — at `partitions: 2` and `7` the engine's
 //!   item sequence and operator counts are unchanged (identifiers may
 //!   differ);
-//! * **columnar-invariant** — the vectorized columnar kernels
-//!   ([`ExecConfig::columnar`]) reproduce the row path bit-for-bit (rows,
-//!   ids, association tables) at worker counts {1, 2, 7} and at every
-//!   partition count;
+//! * **one kernel set** — `fused` *is* the vectorized engine (filter/select
+//!   chains, shuffle and probe key hashing), so the comparison with ids
+//!   against the Tab. 5 interpreter above is the kernels' referee; the
+//!   generator's `map` pipelines (Identity/TagInt UDFs) take the per-unit
+//!   row fallback under that same comparison, and the two chain kernels are
+//!   held to each other morsel by morsel in `pebble_dataflow`'s `vector`
+//!   tests;
 //! * **spill-invariant** — under a one-byte memory budget
 //!   ([`ExecConfig::mem_budget`]) every operator output, grace-join
 //!   bucket, shuffle partition, and capture association table goes
 //!   through disk, and the run is still bit-identical to the in-memory
-//!   capture (checked at `w=1`, `w=2` with tiny morsels, and columnar),
+//!   capture (checked at `w=1` and at `w=2` with tiny morsels),
 //!   with real spill traffic reported whenever rows flowed;
 //! * **backtrace-equivalent** — for sampled output items (whole-item
 //!   trees over [`Path::path_set`]) and one tree-pattern query, the
@@ -442,38 +445,6 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
         }
     }
 
-    // Columnar/row equivalence, bit-for-bit: the vectorized kernels are
-    // specified byte-identical to the row path — same ids, association
-    // tables, and batch content — at every worker count (tiny morsels at
-    // w>1 exercise the id-range stitcher across many morsels).
-    {
-        let configs = std::iter::once(reference_config().columnar(true)).chain(
-            ALT_WORKERS.iter().map(|&w| {
-                reference_config()
-                    .columnar(true)
-                    .workers(w)
-                    .morsel_rows(ALT_WORKER_MORSEL)
-            }),
-        );
-        for config in configs {
-            let name = format!("row vs columnar (p=1, w={})", config.workers.max(1));
-            match run_captured(&program, &ctx, config) {
-                Ok(r) => {
-                    if let Some(d) = compare_captured(seed, &name, &fused, &r) {
-                        return Some(d);
-                    }
-                }
-                Err(e) => {
-                    return diverge(
-                        seed,
-                        "error agreement",
-                        format!("columnar engine errors ({e}), row path succeeds ({name})"),
-                    )
-                }
-            }
-        }
-    }
-
     // Out-of-core invariance, bit-for-bit: a one-byte budget routes every
     // operator output, join build side, shuffle, and capture association
     // table through disk; the run must still be indistinguishable from the
@@ -492,10 +463,6 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
                     .workers(2)
                     .morsel_rows(ALT_WORKER_MORSEL)
                     .mem_budget(SPILL_BUDGET),
-            ),
-            (
-                "in-memory vs spilled (p=1, columnar)".to_string(),
-                reference_config().columnar(true).mem_budget(SPILL_BUDGET),
             ),
         ];
         for (name, config) in configs {
@@ -577,23 +544,6 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
                 if let Some(d) = compare_items(seed, &name, &fused.output.rows, &r.output.rows) {
                     return Some(d);
                 }
-                // Within a partition count ids are fixed, so columnar vs
-                // row is again a bit-for-bit comparison.
-                match run_captured(&program, &ctx, config.columnar(true)) {
-                    Ok(c) => {
-                        let name = format!("row vs columnar (p={parts})");
-                        if let Some(d) = compare_captured(seed, &name, &r, &c) {
-                            return Some(d);
-                        }
-                    }
-                    Err(e) => {
-                        return diverge(
-                            seed,
-                            "error agreement",
-                            format!("columnar engine at p={parts} errors ({e}), row succeeds"),
-                        )
-                    }
-                }
                 alt_runs.push((parts, r));
             }
             Err(e) => {
@@ -636,8 +586,8 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
 
     // Store equivalence: round-trip every partition count through the
     // segment format and re-ask the questions from the cold-opened store.
-    // (Worker-count and columnar runs are bit-identical to these captures
-    // — proven above — so persisting them would persist the same bytes.)
+    // (Worker-count runs are bit-identical to these captures — proven
+    // above — so persisting them would persist the same bytes.)
     if let Some(d) = store_axis(seed, "store vs memory (p=1)", &fused, questions.as_ref()) {
         return Some(d);
     }
@@ -781,27 +731,6 @@ pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
         }
     }
 
-    // The columnar kernels agree on the exact outcome too — including
-    // which row faults first and with what error (fault checks run before
-    // any vectorized work, so failure selection cannot move).
-    {
-        let col = run_captured(&program, &ctx, reference_config().columnar(true));
-        if let Some(d) = same_outcome(seed, "row vs columnar (p=1, w=1)", &fused, &col) {
-            return Some(d);
-        }
-        for workers in ALT_WORKERS {
-            let config = reference_config()
-                .columnar(true)
-                .workers(workers)
-                .morsel_rows(ALT_WORKER_MORSEL);
-            let alt = run_captured(&program, &ctx, config);
-            let name = format!("row vs columnar (p=1, w={workers})");
-            if let Some(d) = same_outcome(seed, &name, &fused, &alt) {
-                return Some(d);
-            }
-        }
-    }
-
     // Out-of-core failure agreement: a one-byte budget must not change the
     // outcome — bit-identical capture on success, a `Display`-identical
     // error on failure. Spilled blocks replay the exact morsel layout of
@@ -840,11 +769,6 @@ pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
             if let Some(d) = same_outcome(seed, &name, &p, &alt) {
                 return Some(d);
             }
-        }
-        let config = ExecConfig::with_partitions(parts).columnar(true);
-        let c = run_captured(&program, &ctx, config);
-        if let Some(d) = same_outcome(seed, &format!("row vs columnar (p={parts})"), &p, &c) {
-            return Some(d);
         }
         if let Ok(p) = &p {
             if let Some(d) = store_axis(seed, &format!("store vs memory (p={parts})"), p, None) {

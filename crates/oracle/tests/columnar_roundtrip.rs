@@ -1,7 +1,7 @@
 //! Property tests for the `Vec<DataItem> ⇄ ColumnBatch` converters over the
 //! oracle's seeded dataset generators.
 //!
-//! The columnar executor path is only sound if transposing a morsel into
+//! The vectorized kernels are only sound if transposing a morsel into
 //! [`ColumnBatch`] and back is lossless for every item shape the engine can
 //! see: the deeply nested Twitter `user`/`entities` sub-trees, DBLP records
 //! with `authors` bags, empty lists, missing attributes, and the corrupted
@@ -75,8 +75,8 @@ fn generated_datasets_roundtrip() {
 
 /// Corrupted datasets from the malformed-input axis (type confusion,
 /// truncated records, missing attributes) must round-trip unchanged as
-/// well: the columnar planner may *reject* a program over them, but the
-/// representation itself is shape-agnostic.
+/// well: a program over them may fail, but the representation itself is
+/// shape-agnostic.
 #[test]
 fn malformed_datasets_roundtrip() {
     for seed in 0..60u64 {

@@ -46,7 +46,7 @@ fn report_counters_match_reference_on_250_seeds() {
                 run_observed(&program, &ctx, config, &NoSink, &ObsConfig::metrics());
             let output = result.unwrap_or_else(|e| panic!("seed {seed}: engine failed: {e}"));
 
-            assert_eq!(report.schema_version, 2, "seed {seed}");
+            assert_eq!(report.schema_version, 3, "seed {seed}");
             assert_eq!(report.outcome, "ok", "seed {seed}");
             assert!(report.error.is_none(), "seed {seed}");
             assert!(report.metrics, "seed {seed}");
@@ -96,7 +96,7 @@ fn report_produced_for_250_malformed_seeds() {
 
         let (result, report) = run_observed(&program, &ctx, config, &NoSink, &ObsConfig::metrics());
 
-        assert_eq!(report.schema_version, 2, "seed {seed}");
+        assert_eq!(report.schema_version, 3, "seed {seed}");
         assert_eq!(
             report.operators.len(),
             program.operators().len(),

@@ -91,8 +91,7 @@ fn join_group_case() -> Generated {
 
 /// Grace-hash join + spilled shuffle + capture spill, bit-identical to the
 /// in-memory run through the full differential matrix (the out-of-core
-/// axis inside [`check`] re-runs this at a one-byte budget, `w∈{1,2}`,
-/// row and columnar).
+/// axis inside [`check`] re-runs this at a one-byte budget, `w∈{1,2}`).
 #[test]
 fn oracle_pinned_join_group_spill_shape() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -166,10 +165,6 @@ fn spill_fault_display_identical_across_configurations() {
             (
                 "fused pool w=2",
                 run_captured(&program, &ctx, budgeted.workers(2).morsel_rows(3)),
-            ),
-            (
-                "fused columnar",
-                run_captured(&program, &ctx, budgeted.columnar(true)),
             ),
         ];
         disarm();

@@ -265,7 +265,18 @@ pub fn chunk_table(op: &OperatorProvenance) -> Vec<u8> {
 /// Decodes one ASSOC chunk payload and appends its entries to the matching
 /// operator's table. The table kind was fixed by the OPAUX block; a chunk
 /// whose tag disagrees is corrupt.
-pub fn apply_chunk(mut payload: &[u8], ops: &mut [OperatorProvenance]) -> Result<(), StoreError> {
+///
+/// `max_entries` bounds any one table: a run token is a handful of bytes
+/// however long its run, so its length must be checked against something
+/// other than the chunk before pairs are allocated for it. Callers pass the
+/// segment's byte length — every association entry also costs at least one
+/// byte in the `INDEX` block, so no table of a well-formed segment holds
+/// more entries than the segment has bytes.
+pub fn apply_chunk(
+    mut payload: &[u8],
+    ops: &mut [OperatorProvenance],
+    max_entries: usize,
+) -> Result<(), StoreError> {
     let buf = &mut payload;
     let oid = get_varint(buf)? as usize;
     let op = ops
@@ -284,9 +295,9 @@ pub fn apply_chunk(mut payload: &[u8], ops: &mut [OperatorProvenance]) -> Result
                 if len == 0 {
                     return Err(StoreError::Corrupt("empty unary run token".into()));
                 }
-                if len > (buf.len() as u64 + 2) * (1 << 16) {
-                    // A run longer than any plausible table for the
-                    // remaining input — reject before allocating.
+                if len > (max_entries as u64).saturating_sub(pairs.len() as u64) {
+                    // The table would outgrow the segment that claims to
+                    // hold it — reject before allocating.
                     return Err(StoreError::Corrupt("absurd unary run length".into()));
                 }
                 let first_in = prev_in.wrapping_add(get_signed(buf)? as u64);
@@ -504,11 +515,58 @@ mod tests {
             manipulated: None,
             assoc: ProvAssoc::Unary(Vec::new()),
         }];
-        apply_chunk(&chunk, &mut ops).unwrap();
+        apply_chunk(&chunk, &mut ops, pairs.len()).unwrap();
         match &ops[0].assoc {
             ProvAssoc::Unary(v) => assert_eq!(*v, pairs),
             other => panic!("wrong kind: {other:?}"),
         }
+    }
+
+    fn unary_op() -> Vec<OperatorProvenance> {
+        vec![OperatorProvenance {
+            oid: 0,
+            op_type: "select".into(),
+            inputs: vec![],
+            manipulated: None,
+            assoc: ProvAssoc::Unary(Vec::new()),
+        }]
+    }
+
+    /// A run token is ~17 bytes however long the run: its length is bounded
+    /// by the entries the whole segment can hold, not by the chunk's bytes.
+    #[test]
+    fn long_single_token_run_round_trips() {
+        const N: u64 = 2_000_000;
+        let chunk = chunk_unary_run(0, 0, 1 << 48, N);
+        assert!(chunk.len() < 20, "run chunk is {} bytes", chunk.len());
+        let mut ops = unary_op();
+        apply_chunk(&chunk, &mut ops, N as usize).unwrap();
+        let ProvAssoc::Unary(v) = &ops[0].assoc else {
+            panic!("wrong kind");
+        };
+        assert_eq!(v.len(), N as usize);
+        assert_eq!(v[0], (0, 1 << 48));
+        assert_eq!(v[N as usize - 1], (N - 1, (1 << 48) + N - 1));
+        // The bound counts what earlier chunks already appended.
+        let err = apply_chunk(&chunk_unary_run(0, N, 0, 1), &mut ops, N as usize);
+        assert!(matches!(err, Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn run_longer_than_its_segment_is_rejected_before_allocating() {
+        let chunk = chunk_unary_run(0, 0, 0, 1 << 40);
+        assert!(chunk.len() < 30);
+        let mut ops = unary_op();
+        let err = apply_chunk(&chunk, &mut ops, 30).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Corrupt("absurd unary run length".into()),
+            "{err}"
+        );
+        let ProvAssoc::Unary(v) = &ops[0].assoc else {
+            panic!("wrong kind");
+        };
+        assert_eq!(v.capacity(), 0, "nothing allocated");
     }
 
     #[test]
@@ -560,7 +618,7 @@ mod tests {
             })
             .collect();
         for op in &originals {
-            apply_chunk(&chunk_table(op), &mut blank).unwrap();
+            apply_chunk(&chunk_table(op), &mut blank, 64).unwrap();
         }
         for (a, b) in originals.iter().zip(&blank) {
             assert_eq!(a.assoc, b.assoc);
@@ -578,13 +636,13 @@ mod tests {
             assoc: ProvAssoc::Unary(vec![]),
         }];
         assert!(matches!(
-            apply_chunk(&chunk, &mut ops),
+            apply_chunk(&chunk, &mut ops, 64),
             Err(StoreError::Corrupt(_))
         ));
         // Unknown operator.
         let chunk = chunk_read(9, &[1]);
         assert!(matches!(
-            apply_chunk(&chunk, &mut ops),
+            apply_chunk(&chunk, &mut ops, 64),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -626,7 +684,7 @@ mod tests {
         let mut it = BlockIter::parse(&seg).unwrap();
         while let Some((ty, payload)) = it.next_block().unwrap() {
             assert_eq!(ty, BLOCK_ASSOC);
-            apply_chunk(payload, &mut ops).unwrap();
+            apply_chunk(payload, &mut ops, seg.len()).unwrap();
         }
         match &ops[2].assoc {
             ProvAssoc::Unary(v) => {

@@ -32,12 +32,6 @@ PEBBLE_PARTITIONS=1 PEBBLE_WORKERS=1 cargo test -q --workspace --release
 echo "==> cargo test -q (PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8 PEBBLE_MORSEL_ROWS=16)"
 PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8 PEBBLE_MORSEL_ROWS=16 cargo test -q --workspace --release
 
-# Columnar executor matrix: the whole suite again with the vectorized
-# column-at-a-time kernels forced on; every determinism / provenance /
-# fault test must pass bit-for-bit against the row path's expectations.
-echo "==> cargo test -q (PEBBLE_COLUMNAR=1)"
-PEBBLE_COLUMNAR=1 cargo test -q --workspace --release
-
 # Out-of-core matrix: the whole suite under a 4 KiB memory budget, which
 # forces every materialized unit output, join build side, group shuffle,
 # and capture sink through the spill path on every test workload; all
@@ -59,8 +53,7 @@ echo "==> spill regression guard (spillbench --assert)"
 cargo run -q --release -p pebble-bench --bin spillbench -- --assert --out target/ci/BENCH_6.json
 
 # Bounded differential-fuzz smoke: fixed seed window, ~1500 pipelines
-# through the Tab. 5 reference oracle (well under 30 s in release). The
-# oracle sweeps the columnar axis internally on every seed.
+# through the Tab. 5 reference oracle (well under 30 s in release).
 echo "==> oracle differential smoke"
 cargo run -q --release -p pebble-oracle --bin oracle_fuzz -- 1500 0
 
@@ -81,11 +74,6 @@ PEBBLE_METRICS=1 PEBBLE_TRACE=target/obs_smoke.trace.ndjson \
 # bench.
 echo "==> observability overhead guard (metrics-off < 2%)"
 cargo run -q --release -p pebble-bench --bin obs_overhead -- --assert --out target/ci/BENCH_3.json
-
-# Columnar regression guard: the vectorized path must not be slower than
-# the row path on T3 (plain and capture) beyond a small noise margin.
-echo "==> columnar regression guard (colbench --assert)"
-cargo run -q --release -p pebble-bench --bin colbench -- --assert --out target/ci/BENCH_4.json
 
 # Persistent-store smoke: two workload scenarios persisted to disk,
 # cold-opened, and queried directly and through a live server — every
