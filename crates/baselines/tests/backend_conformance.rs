@@ -1,15 +1,15 @@
 //! Backend-conformance suite: every capture backend — the three built-ins
 //! and the three baseline ports — answers its queries byte-identically
-//! across the engine's whole determinism matrix (partitions × workers ×
-//! spill budget), because backends consume only the assembled
-//! `CapturedRun` and render identifier-free quantities.
+//! across the engine's whole configuration matrix (`ExecMatrix::all`:
+//! partitions × scheduler and budget shapes), because backends consume
+//! only the assembled `CapturedRun` and render identifier-free quantities.
 
 use pebble_baselines::{LazyBackend, LipstickBackend, TitianBackend};
 use pebble_core::{
     run_captured, run_for_backend, CaptureBackend, CapturedRun, SemiringBackend, StructuralBackend,
     WhyNotBackend,
 };
-use pebble_dataflow::{Context, ExecConfig, Program, Result};
+use pebble_dataflow::{Context, ExecConfig, ExecMatrix, Program, Result};
 use pebble_nested::{Path, Value};
 use pebble_workloads::{running_example, scenarios, twitter_context};
 
@@ -21,20 +21,6 @@ fn backends() -> Vec<&'static dyn CaptureBackend> {
         &TitianBackend,
         &LazyBackend,
         &LipstickBackend,
-    ]
-}
-
-/// The determinism matrix every answer must be byte-identical across.
-fn shapes() -> Vec<(&'static str, ExecConfig)> {
-    vec![
-        ("p=1", ExecConfig::with_partitions(1)),
-        ("p=2", ExecConfig::with_partitions(2)),
-        ("p=7", ExecConfig::with_partitions(7)),
-        (
-            "w=2 morsel=3",
-            ExecConfig::with_partitions(1).workers(2).morsel_rows(3),
-        ),
-        ("spill", ExecConfig::with_partitions(1).mem_budget(1)),
     ]
 }
 
@@ -102,7 +88,7 @@ fn assert_conformance(name: &str, program: &Program, ctx: &Context) {
                 backend.name()
             );
         }
-        for (shape, config) in shapes() {
+        for config in ExecMatrix::all() {
             let run = run_for_backend(program, ctx, config, *backend).unwrap();
             let prepared = backend.prepare(&run, ctx).unwrap();
             for (q, want) in queries.iter().zip(&expected) {
@@ -110,7 +96,7 @@ fn assert_conformance(name: &str, program: &Program, ctx: &Context) {
                 assert_eq!(
                     &got,
                     want,
-                    "{name}/{}: query `{q}` diverges at shape {shape}",
+                    "{name}/{}: query `{q}` diverges at {config:?}",
                     backend.name()
                 );
             }

@@ -1,15 +1,13 @@
 //! Backend smoke for CI: every capture backend — the three built-ins and
 //! the three baseline ports — prepared over the Twitter T1 scenario and
-//! the running example, answering its queries byte-identically across a
-//! reduced shape matrix (p=1 / p=2 / spilled), plus the
-//! `PEBBLE_BACKEND` env selection path. Exits nonzero on any violation.
+//! the running example, answering its queries byte-identically across
+//! every shape of the executor matrix. Exits nonzero on any violation.
 
 use pebble_baselines::{LazyBackend, LipstickBackend, TitianBackend};
 use pebble_core::{
-    backend_from_env, run_for_backend, CaptureBackend, CapturedRun, SemiringBackend,
-    StructuralBackend, WhyNotBackend,
+    run_for_backend, CaptureBackend, CapturedRun, SemiringBackend, StructuralBackend, WhyNotBackend,
 };
-use pebble_dataflow::{Context, ExecConfig, Program, Result};
+use pebble_dataflow::{Context, ExecConfig, ExecMatrix, Program, Result};
 use pebble_nested::{Path, Value};
 use pebble_workloads::{running_example, scenarios, twitter_context};
 
@@ -64,10 +62,7 @@ fn queries_for(backend: &dyn CaptureBackend, baseline: &CapturedRun) -> Vec<Stri
 }
 
 fn smoke(name: &str, program: &Program, ctx: &Context) {
-    let shapes: Vec<(&str, ExecConfig)> = vec![
-        ("p=2", ExecConfig::with_partitions(2)),
-        ("spill", ExecConfig::with_partitions(1).mem_budget(1)),
-    ];
+    let shapes = ExecMatrix::all();
     let mut answers = 0usize;
     for backend in backends() {
         let baseline = run_for_backend(program, ctx, ExecConfig::with_partitions(1), backend)
@@ -88,17 +83,17 @@ fn smoke(name: &str, program: &Program, ctx: &Context) {
                 ));
             }
         }
-        for (shape, config) in &shapes {
-            let run = run_for_backend(program, ctx, *config, backend)
-                .unwrap_or_else(|e| fail(&format!("{name}: {shape} run failed: {e}")));
+        for &config in &shapes {
+            let run = run_for_backend(program, ctx, config, backend)
+                .unwrap_or_else(|e| fail(&format!("{name}: {config:?} run failed: {e}")));
             let prepared = backend
                 .prepare(&run, ctx)
-                .unwrap_or_else(|e| fail(&format!("{name}: prepare at {shape} failed: {e}")));
+                .unwrap_or_else(|e| fail(&format!("{name}: prepare at {config:?} failed: {e}")));
             for (q, want) in queries.iter().zip(&expected) {
                 let got = outcome(prepared.answer(q));
                 if &got != want {
                     fail(&format!(
-                        "{name}/{}: `{q}` diverges at {shape}:\n  {got}\n  vs\n  {want}",
+                        "{name}/{}: `{q}` diverges at {config:?}:\n  {got}\n  vs\n  {want}",
                         backend.name()
                     ));
                 }
@@ -110,20 +105,6 @@ fn smoke(name: &str, program: &Program, ctx: &Context) {
 }
 
 fn main() {
-    // Env selection: default, explicit, and unknown-name fallback.
-    if backend_from_env().name() != "structural" {
-        fail("default backend is not `structural`");
-    }
-    std::env::set_var("PEBBLE_BACKEND", "semiring");
-    if backend_from_env().name() != "semiring" {
-        fail("PEBBLE_BACKEND=semiring not honored");
-    }
-    std::env::set_var("PEBBLE_BACKEND", "no-such-backend");
-    if backend_from_env().name() != "structural" {
-        fail("unknown PEBBLE_BACKEND must fall back to `structural`");
-    }
-    std::env::remove_var("PEBBLE_BACKEND");
-
     smoke(
         "running-example",
         &running_example::program(),

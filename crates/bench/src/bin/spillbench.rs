@@ -129,7 +129,7 @@ fn measure(
 }
 
 fn assert_mode(scenario: &Scenario, ctx: &pebble_dataflow::Context, peak: usize) {
-    let base_cfg = ExecConfig::default().mem_budget(0);
+    let base_cfg = ExecConfig::default();
     let baseline = run_captured(&scenario.program, ctx, base_cfg).expect("in-memory run failed");
 
     // Gate 1: peak/2 budget — bit-identical and at most MAX_SLOWDOWN.
@@ -286,7 +286,7 @@ fn main() {
         human_bytes(peak)
     );
 
-    let base_cfg = ExecConfig::default().mem_budget(0);
+    let base_cfg = ExecConfig::default();
     let baseline = run_captured(&scenario.program, &ctx, base_cfg).expect("in-memory run failed");
     let base_wall = time(ROUNDS, || {
         run_captured(&scenario.program, &ctx, base_cfg).expect("in-memory run failed")

@@ -25,8 +25,8 @@
 //! backend-conformance suite runs all of them through the determinism
 //! matrix.
 //!
-//! The backend for a session is picked by name — `PEBBLE_BACKEND`
-//! selects one of the three built-ins via [`backend_from_env`].
+//! The backend for a session is picked by name: [`backend_by_name`]
+//! resolves one of the three built-ins.
 
 use pebble_dataflow::{Context, EngineError, ExecConfig, Program, Result};
 use pebble_obs::BackendStats;
@@ -200,26 +200,6 @@ pub fn backend_by_name(name: &str) -> Option<&'static dyn CaptureBackend> {
         "whynot" => Some(&WHYNOT),
         "semiring" => Some(&SEMIRING),
         _ => None,
-    }
-}
-
-/// The backend selected by `PEBBLE_BACKEND` (default `structural`). An
-/// unknown name falls back to the default with a one-line warning, at
-/// most once per process — configuration must never panic the engine.
-pub fn backend_from_env() -> &'static dyn CaptureBackend {
-    match std::env::var("PEBBLE_BACKEND") {
-        Ok(name) if !name.trim().is_empty() => backend_by_name(name.trim()).unwrap_or_else(|| {
-            use std::sync::Once;
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "pebble: unknown PEBBLE_BACKEND `{}`; using `structural`",
-                    name.trim()
-                );
-            });
-            &STRUCTURAL
-        }),
-        _ => &STRUCTURAL,
     }
 }
 

@@ -287,11 +287,7 @@ struct CaptureSpill {
 impl CaptureSpill {
     fn new(budget: usize, n_ops: usize) -> CaptureSpill {
         static SEQ: AtomicU64 = AtomicU64::new(0);
-        let base = std::env::var_os("PEBBLE_SPILL_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        pebble_dataflow::spill::sweep_stale_run_dirs_once(&base);
-        let dir = base.join(format!(
+        let dir = pebble_dataflow::spill::base_dir().join(format!(
             "pebble-capture-{}-{}",
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)

@@ -27,8 +27,8 @@ pub mod whynot;
 
 pub use analysis::{co_access_pairs, AuditReport, Heatmap, ItemUsage};
 pub use backend::{
-    backend_by_name, backend_from_env, run_for_backend, CaptureBackend, PreparedBackend,
-    SemiringBackend, StructuralBackend, WhyNotBackend,
+    backend_by_name, run_for_backend, CaptureBackend, PreparedBackend, SemiringBackend,
+    StructuralBackend, WhyNotBackend,
 };
 pub use backtrace::{
     backtrace, backtrace_from, backtrace_from_counted, backtrace_with, canonical_provenance,

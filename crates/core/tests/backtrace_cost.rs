@@ -17,12 +17,10 @@ use pebble_core::{
     backtrace_from_counted, backtrace_with, canonical_provenance, run_captured, Backtrace,
     BacktraceIndex, BacktraceWork, CapturedRun, ProvTree, SourceProvenance,
 };
-use pebble_dataflow::{Context, ExecConfig};
+use pebble_dataflow::{Context, ExecConfig, ExecMatrix};
 use pebble_nested::Path;
 use pebble_workloads::scenarios::{d3, t3};
 use pebble_workloads::{dblp_context, twitter_context, Scenario};
-
-const PARTITIONS: [usize; 3] = [1, 2, 7];
 
 fn fnv1a(digest: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -88,7 +86,7 @@ fn assert_pinned(
     question: fn(&Scenario, &CapturedRun) -> Backtrace,
     pin: Pin,
 ) {
-    for (partitions, pinned) in PARTITIONS.into_iter().zip(pin.answers) {
+    for (partitions, pinned) in ExecMatrix::partitions().into_iter().zip(pin.answers) {
         let run = run_captured(&s.program, ctx, ExecConfig::with_partitions(partitions)).unwrap();
         let answer = backtrace_with(&run, &BacktraceIndex::build(&run), question(s, &run)).unwrap();
         let traced: usize = answer.iter().map(|sp| sp.entries.len()).sum();

@@ -18,13 +18,10 @@ use pebble_core::{
     backtrace, canonical_provenance, run_captured, PatternNode, ProvTree, TreePattern,
 };
 use pebble_dataflow::{
-    context::items_of, run, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, MapUdf,
-    NamedExpr, NoSink, Program, ProgramBuilder,
+    context::items_of, run, AggFunc, AggSpec, Context, ExecConfig, ExecMatrix, Expr, GroupKey,
+    MapUdf, NamedExpr, NoSink, Program, ProgramBuilder,
 };
 use pebble_nested::{json, Path, Value};
-
-/// Partition counts every invariant is checked under.
-const PARTITIONS: [usize; 3] = [1, 2, 7];
 
 /// An identifier-free backtrace answer: `(source, index, tree)` entries as
 /// produced by [`canonical_provenance`].
@@ -140,7 +137,7 @@ fn ndjson(rows: &[pebble_dataflow::Row]) -> String {
 fn capture_on_off_outputs_are_byte_identical() {
     let c = ctx();
     for (name, p) in programs() {
-        for parts in PARTITIONS {
+        for parts in ExecMatrix::partitions() {
             let config = ExecConfig::with_partitions(parts);
             let plain = run(&p, &c, config, &NoSink).unwrap();
             let captured = run_captured(&p, &c, config).unwrap();
@@ -178,7 +175,7 @@ fn backtrace_answers_invariant_under_partitioning_and_fusion() {
     let c = ctx();
     for (name, p) in programs() {
         let mut answers: Vec<(String, CanonicalAnswer)> = Vec::new();
-        for parts in PARTITIONS {
+        for parts in ExecMatrix::partitions() {
             let config = ExecConfig::with_partitions(parts);
             for (mode, captured) in [
                 ("fused", run_captured(&p, &c, config).unwrap()),
@@ -230,7 +227,7 @@ fn association_table_sizes_invariant() {
     let c = ctx();
     for (name, p) in programs() {
         let baseline = run_captured(&p, &c, ExecConfig::with_partitions(1)).unwrap();
-        for parts in PARTITIONS {
+        for parts in ExecMatrix::partitions() {
             let captured = run_captured(&p, &c, ExecConfig::with_partitions(parts)).unwrap();
             assert_eq!(
                 baseline.output.op_counts, captured.output.op_counts,

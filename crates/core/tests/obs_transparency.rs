@@ -12,12 +12,10 @@ use pebble_core::{
     backtrace, canonical_provenance, run_captured_observed, Backtrace, BacktraceIndex, ProvTree,
 };
 use pebble_dataflow::{
-    context::items_of, run, run_observed, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey,
-    MapUdf, NoSink, ObsConfig, Program, ProgramBuilder,
+    context::items_of, run, run_observed, AggFunc, AggSpec, Context, ExecConfig, ExecMatrix, Expr,
+    GroupKey, MapUdf, NoSink, ObsConfig, Program, ProgramBuilder,
 };
 use pebble_nested::{Path, Value};
-
-const PARTITIONS: [usize; 3] = [1, 2, 7];
 
 fn ctx() -> Context {
     let mut c = Context::new();
@@ -110,7 +108,7 @@ fn trace_path(tag: &str) -> std::path::PathBuf {
 fn metrics_on_off_runs_are_byte_identical() {
     let c = ctx();
     let p = program();
-    for parts in PARTITIONS {
+    for parts in ExecMatrix::partitions() {
         let config = ExecConfig::with_partitions(parts);
         let path = trace_path(&format!("p{parts}"));
         let _ = std::fs::remove_file(&path);
@@ -181,7 +179,7 @@ fn metrics_on_off_runs_are_byte_identical() {
 fn plain_run_unperturbed_by_metrics() {
     let c = ctx();
     let p = program();
-    for parts in PARTITIONS {
+    for parts in ExecMatrix::partitions() {
         let config = ExecConfig::with_partitions(parts);
         let plain = run(&p, &c, config, &NoSink).unwrap();
         let (observed, report) = run_observed(&p, &c, config, &NoSink, &ObsConfig::metrics());

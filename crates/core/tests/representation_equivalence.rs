@@ -6,7 +6,8 @@
 //! byte-identical NDJSON (capture cannot perturb results, and the fused
 //! per-row pipeline cannot diverge from the unfused semantics), and a
 //! checked-in golden fixture pins the exact output bytes of a pipeline
-//! exercising fusion, flatten, and aggregation.
+//! exercising fusion, flatten, and aggregation — at every shape of
+//! `ExecMatrix::suite(3)`.
 //!
 //! Re-bless the fixture with `BLESS=1 cargo test -p pebble-core
 //! --test representation_equivalence` after an *intentional* output change.
@@ -15,8 +16,8 @@ use proptest::prelude::*;
 
 use pebble_core::run_captured;
 use pebble_dataflow::{
-    context::items_of, Context, ExecConfig, Expr, NamedExpr, NoSink, Program, ProgramBuilder,
-    RunOutput,
+    context::items_of, Context, ExecConfig, ExecMatrix, Expr, NamedExpr, NoSink, Program,
+    ProgramBuilder, RunOutput,
 };
 use pebble_nested::{json, DataItem, Label, Value};
 
@@ -200,19 +201,18 @@ proptest! {
     ) {
         let program = build(&pipe);
         let ctx = context_of(&rows);
-        let plain = pebble_dataflow::run(
-            &program, &ctx, ExecConfig::with_partitions(3), &NoSink,
-        ).unwrap();
-        let captured = run_captured(&program, &ctx, ExecConfig::with_partitions(3)).unwrap();
-        prop_assert_eq!(ndjson(&plain), ndjson(&captured.output));
-        let plain_ids: Vec<_> = plain.rows.iter().map(|r| r.id).collect();
-        let cap_ids: Vec<_> = captured.output.rows.iter().map(|r| r.id).collect();
-        prop_assert_eq!(plain_ids, cap_ids);
-
         let one = pebble_dataflow::run(
             &program, &ctx, ExecConfig::with_partitions(1), &NoSink,
         ).unwrap();
-        prop_assert_eq!(ndjson(&one), ndjson(&plain));
+        for config in ExecMatrix::suite(3) {
+            let plain = pebble_dataflow::run(&program, &ctx, config, &NoSink).unwrap();
+            let captured = run_captured(&program, &ctx, config).unwrap();
+            prop_assert_eq!(ndjson(&plain), ndjson(&captured.output));
+            let plain_ids: Vec<_> = plain.rows.iter().map(|r| r.id).collect();
+            let cap_ids: Vec<_> = captured.output.rows.iter().map(|r| r.id).collect();
+            prop_assert_eq!(plain_ids, cap_ids);
+            prop_assert_eq!(ndjson(&one), ndjson(&plain));
+        }
     }
 }
 
@@ -262,35 +262,28 @@ fn golden_context() -> Context {
 
 #[test]
 fn golden_pipeline_output_matches_fixture() {
-    let out = pebble_dataflow::run(
-        &golden_program(),
-        &golden_context(),
-        ExecConfig::with_partitions(3),
-        &NoSink,
-    )
-    .unwrap();
-    let text = ndjson(&out);
+    let plain = |config| {
+        pebble_dataflow::run(&golden_program(), &golden_context(), config, &NoSink).unwrap()
+    };
     if std::env::var("BLESS").is_ok() {
         std::fs::write(
             concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/tests/golden/representation_pipeline.ndjson"
             ),
-            &text,
+            ndjson(&plain(ExecMatrix::referee(3))),
         )
         .unwrap();
         return;
     }
-    assert_eq!(
-        text, GOLDEN,
-        "pipeline output diverged from the checked-in fixture"
-    );
-    // Capture must reproduce the same bytes.
-    let cap = run_captured(
-        &golden_program(),
-        &golden_context(),
-        ExecConfig::with_partitions(3),
-    )
-    .unwrap();
-    assert_eq!(ndjson(&cap.output), GOLDEN);
+    for config in ExecMatrix::suite(3) {
+        assert_eq!(
+            ndjson(&plain(config)),
+            GOLDEN,
+            "pipeline output diverged from the checked-in fixture at {config:?}"
+        );
+        // Capture must reproduce the same bytes.
+        let cap = run_captured(&golden_program(), &golden_context(), config).unwrap();
+        assert_eq!(ndjson(&cap.output), GOLDEN, "{config:?}");
+    }
 }

@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use pebble_core::{backtrace, run_captured, Backtrace, ProvTree};
 use pebble_dataflow::{
-    context::items_of, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, MapUdf, NamedExpr,
-    Program, ProgramBuilder,
+    context::items_of, AggFunc, AggSpec, Context, ExecConfig, ExecMatrix, Expr, GroupKey, MapUdf,
+    NamedExpr, Program, ProgramBuilder, Shape,
 };
 use pebble_nested::{Path, Value};
 
@@ -96,42 +96,39 @@ fn all_backtraces(run: &pebble_core::CapturedRun) -> String {
 
 /// Budgeted capture vs in-memory capture: identical rows, identifiers,
 /// association tables and backtraces, with real spill traffic (engine and
-/// capture layer both) reported at the tight budgets.
+/// capture layer both) reported at every budget of the matrix's budget
+/// axis, at every worker count.
 #[test]
 fn budgeted_capture_is_byte_identical() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let c = ctx();
     let p = dag_program();
-    let base_cfg = ExecConfig::with_partitions(3).mem_budget(0);
-    let baseline = run_captured(&p, &c, base_cfg).unwrap();
+    let baseline = run_captured(&p, &c, ExecConfig::with_partitions(3)).unwrap();
     assert!(baseline.output.report.spill.is_none());
     let expected_traces = all_backtraces(&baseline);
 
-    for (budget, workers, morsel) in [(1usize, 1usize, 1usize), (1, 7, 3), (4096, 2, 0)] {
-        let cfg = ExecConfig::with_partitions(3)
-            .workers(workers)
-            .morsel_rows(morsel)
-            .mem_budget(budget);
+    let budgeted = ExecMatrix::budget()
+        .into_iter()
+        .filter(|s| s.mem_budget > 0);
+    for shape in budgeted.flat_map(|s| ExecMatrix::WORKERS.map(|workers| Shape { workers, ..s })) {
+        let cfg = shape.at(3);
         let alt = run_captured(&p, &c, cfg).unwrap();
         assert_eq!(
             baseline.output.rows, alt.output.rows,
-            "budget={budget}: rows or ids diverged"
+            "{shape}: rows or ids diverged"
         );
-        assert_eq!(
-            baseline.output.op_counts, alt.output.op_counts,
-            "budget={budget}"
-        );
+        assert_eq!(baseline.output.op_counts, alt.output.op_counts, "{shape}");
         for (b, a) in baseline.ops.iter().zip(&alt.ops) {
             assert_eq!(
                 b.assoc, a.assoc,
-                "budget={budget}: association table of op #{} diverged",
+                "{shape}: association table of op #{} diverged",
                 b.oid
             );
         }
         assert_eq!(
             expected_traces,
             all_backtraces(&alt),
-            "budget={budget}: backtrace answers diverged"
+            "{shape}: backtrace answers diverged"
         );
         let spill = alt
             .output
@@ -139,10 +136,10 @@ fn budgeted_capture_is_byte_identical() {
             .spill
             .as_ref()
             .expect("budgeted run must report spill stats");
-        assert!(spill.spills > 0, "budget={budget}: engine never spilled");
+        assert!(spill.spills > 0, "{shape}: engine never spilled");
         assert!(
             spill.capture_spills > 0,
-            "budget={budget}: capture layer never spilled"
+            "{shape}: capture layer never spilled"
         );
         assert!(spill.capture_spill_bytes > 0);
 
@@ -150,7 +147,7 @@ fn budgeted_capture_is_byte_identical() {
         let unfused = run_captured(&p, &c, cfg.fusion(false)).unwrap();
         assert_eq!(baseline.output.rows, unfused.output.rows);
         for (b, a) in baseline.ops.iter().zip(&unfused.ops) {
-            assert_eq!(b.assoc, a.assoc, "budget={budget} unfused: op #{}", b.oid);
+            assert_eq!(b.assoc, a.assoc, "{shape} unfused: op #{}", b.oid);
         }
     }
 }

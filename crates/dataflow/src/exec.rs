@@ -15,11 +15,9 @@
 //! offset to the produced identifiers. Identifiers, association tables,
 //! and sink batch order are therefore byte-identical to a single-threaded
 //! execution at any worker count and any morsel size. The *referee shape*
-//! `workers(1).morsel_rows(usize::MAX)` is that single-threaded execution:
-//! one morsel per partition, run inline in task order, so every stitching
-//! offset is zero and identifiers are final as the kernels produce them.
-//! The determinism tests and the differential oracle compare every other
-//! shape against it.
+//! ([`crate::matrix::ExecMatrix::referee`]) is that single-threaded
+//! execution, and the determinism tests and the differential oracle compare
+//! every other shape of the matrix against it.
 //!
 //! **Skew.** Morsel boundaries are recomputed per unit from the *actual*
 //! row counts of its input partitions, so a partition fattened by an
@@ -165,39 +163,40 @@ const INLINE_ROWS: usize = 512;
 
 /// Executor configuration.
 ///
-/// Four of the five fields have an environment override read by
-/// [`ExecConfig::default`] (and thus by [`ExecConfig::with_partitions`]):
-/// `PEBBLE_PARTITIONS`, `PEBBLE_WORKERS`, `PEBBLE_MORSEL_ROWS`, and
-/// `PEBBLE_MEM_BUDGET` (with `PEBBLE_SPILL_DIR` naming where spilled
-/// state goes). `fusion` has none; only tests turn it off. Which kernels
-/// run a unit is not configurable at all: fused filter/select chains, group
-/// shuffles and join probes are vectorized ([`crate::vector`]), and a chain
-/// falls back to the row kernel only when its own plan hosts user code.
-#[derive(Clone, Copy, Debug)]
+/// A plain value: no field is read from the environment, so a config means
+/// the same run wherever it executes. [`ExecConfig::default`] is the
+/// machine's partition count with every other setting automatic, and
+/// [`ExecConfig::with_partitions`] pins the partition count of that. Which
+/// kernels run a unit is not configurable at all: fused filter/select
+/// chains, group shuffles and join probes are vectorized
+/// ([`crate::vector`]), and a chain falls back to the row kernel only when
+/// its own plan hosts user code. The shapes the tests hold to one another
+/// are listed in [`crate::matrix::ExecMatrix`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of logical partitions. Identifiers depend on this (a
     /// partition index is baked into every [`ItemId`]), so runs are only
     /// id-comparable at equal partition counts.
     pub partitions: usize,
     /// Number of pool worker threads; `0` picks the machine default
-    /// (`PEBBLE_WORKERS`, else available parallelism capped at 8). Output
-    /// is byte-identical at any worker count; `1` executes inline on the
-    /// calling thread without touching the pool.
+    /// (available parallelism capped at 8). Output is byte-identical at any
+    /// worker count; `1` executes inline on the calling thread without
+    /// touching the pool.
     pub workers: usize,
     /// Rows per morsel; `0` sizes morsels automatically from each stage's
     /// input cardinality (targeting several morsels per worker). Output is
     /// byte-identical at any morsel size.
     pub morsel_rows: usize,
     /// Memory budget in bytes for pipeline-resident state (`0` =
-    /// unlimited, the default; `PEBBLE_MEM_BUDGET`). When set, a
-    /// [`crate::MemoryTracker`] accounts for materialized unit outputs,
-    /// join build tables, and group tables; state that would exceed the
-    /// budget spills to `PEBBLE_SPILL_DIR` (default: the system temp dir)
-    /// and is re-read morsel-at-a-time. Rows, identifiers, association
-    /// tables, and backtraces are byte-identical at every budget.
+    /// unlimited, the default). When set, a [`crate::MemoryTracker`]
+    /// accounts for materialized unit outputs, join build tables, and group
+    /// tables; state that would exceed the budget spills under the system
+    /// temp dir ([`crate::spill::base_dir`]) and is re-read
+    /// morsel-at-a-time. Rows, identifiers, association tables, and
+    /// backtraces are byte-identical at every budget.
     pub mem_budget_bytes: usize,
     /// Fuse maximal single-consumer chains of per-row operators into one
-    /// unit (default `true`, no environment override). With `false` every
+    /// unit (default `true`). With `false` every
     /// operator runs as its own stage and materializes its output rows;
     /// identifiers and captured provenance are specified byte-identical
     /// either way, and the tests and the differential oracle turn fusion
@@ -236,21 +235,6 @@ fn checked_out_parts(op: &Operator, out_parts: usize) -> Result<usize> {
     Ok(out_parts)
 }
 
-/// Reads a numeric environment knob. A missing variable is simply unset;
-/// a present-but-invalid value (non-numeric, negative) falls back to the
-/// default with a one-line warning — it must never panic or silently
-/// misconfigure the executor. Each knob warns at most once per process.
-fn env_knob(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse::<i64>() {
-        Ok(v) if v >= 0 => Some(v as usize),
-        _ => {
-            diag::warn_once(name, &format!("ignoring invalid {name}={raw:?}: expected a non-negative integer, using default"));
-            None
-        }
-    }
-}
-
 fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -260,21 +244,20 @@ fn default_parallelism() -> usize {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        let partitions = env_knob("PEBBLE_PARTITIONS").unwrap_or_else(default_parallelism);
         ExecConfig {
+            partitions: default_parallelism(),
             // `workers`/`morsel_rows` keep `0` as "auto".
-            partitions: clamp_partitions(partitions),
-            workers: env_knob("PEBBLE_WORKERS").unwrap_or(0),
-            morsel_rows: env_knob("PEBBLE_MORSEL_ROWS").unwrap_or(0),
-            mem_budget_bytes: env_knob("PEBBLE_MEM_BUDGET").unwrap_or(0),
+            workers: 0,
+            morsel_rows: 0,
+            mem_budget_bytes: 0,
             fusion: true,
         }
     }
 }
 
 impl ExecConfig {
-    /// Config with `partitions` logical partitions and default (env-
-    /// overridable) worker and morsel settings.
+    /// Config with `partitions` logical partitions and every other setting
+    /// at its default.
     pub fn with_partitions(partitions: usize) -> Self {
         ExecConfig {
             partitions: clamp_partitions(partitions),
@@ -311,9 +294,7 @@ impl ExecConfig {
         if self.workers > 0 {
             self.workers
         } else {
-            env_knob("PEBBLE_WORKERS")
-                .filter(|&w| w > 0)
-                .unwrap_or_else(default_parallelism)
+            default_parallelism()
         }
     }
 
@@ -3287,19 +3268,53 @@ mod tests {
         assert_eq!(fused.op_counts, unfused.op_counts);
     }
 
-    /// Fusion is on by default and is the one config field no environment
-    /// variable reaches.
+    /// A config is a value: fusion is on by default, and no environment
+    /// variable reaches any field or the spill location. Setting the
+    /// variables here is safe beside concurrently running tests precisely
+    /// because nothing reads them.
     #[test]
     fn fusion_defaults_on_and_ignores_the_environment() {
-        assert!(ExecConfig::default().fusion);
-        // Names no knob reads: the real `PEBBLE_*` variables stay untouched
-        // so concurrently running tests see the environment they started with.
-        for name in ["PEBBLE_FUSION", "PEBBLE_FUSE", "PEBBLE_UNFUSED"] {
-            std::env::set_var(name, "0");
-            assert!(ExecConfig::default().fusion, "{name}=0");
-            assert!(ExecConfig::with_partitions(2).fusion, "{name}=0");
-            std::env::remove_var(name);
+        let not_a_dir =
+            std::env::temp_dir().join(format!("pebble-not-a-dir-{}", std::process::id()));
+        std::fs::write(&not_a_dir, b"").unwrap();
+        // The retired knobs, plus a fusion switch that never existed.
+        let hostile = [
+            ("PARTITIONS", "4096".to_string()),
+            ("WORKERS", "64".to_string()),
+            ("MORSEL_ROWS", "1".to_string()),
+            ("MEM_BUDGET", "1".to_string()),
+            ("SPILL_DIR", not_a_dir.join("spill").display().to_string()),
+            ("BACKEND", "no-such-backend".to_string()),
+            ("FUSION", "0".to_string()),
+        ];
+        for (knob, value) in &hostile {
+            std::env::set_var(format!("PEBBLE_{knob}"), value);
         }
+        let literal = |partitions| ExecConfig {
+            partitions,
+            workers: 0,
+            morsel_rows: 0,
+            mem_budget_bytes: 0,
+            fusion: true,
+        };
+        assert_eq!(ExecConfig::default(), literal(default_parallelism()));
+        assert_eq!(ExecConfig::with_partitions(3), literal(3));
+
+        let mut b = ProgramBuilder::new();
+        let r = b.read("nums");
+        let f = b.filter(r, Expr::col("v").ge(Expr::lit(20i64)));
+        let p = b.build(f);
+        let c = ctx();
+        let cfg = ExecConfig::with_partitions(3).mem_budget(1);
+        let spilled = run(&p, &c, cfg, &NoSink).expect("spills under the temp dir");
+        let plain = run(&p, &c, ExecConfig::with_partitions(3), &NoSink).unwrap();
+        assert_eq!(spilled.rows, plain.rows);
+        assert!(spilled.report.spill.expect("budgeted run reports").spills > 0);
+
+        for (knob, _) in &hostile {
+            std::env::remove_var(format!("PEBBLE_{knob}"));
+        }
+        std::fs::remove_file(&not_a_dir).unwrap();
     }
 
     /// Which chain kernel runs a unit is read off the unit's own plan: a
@@ -3557,15 +3572,7 @@ mod tests {
             vec![AggSpec::new(AggFunc::Count, "", "n")],
         );
         let p = b.build(g);
-        // Pin the baseline to unlimited even when PEBBLE_MEM_BUDGET is set
-        // in the environment (the CI tight-budget pass does exactly that).
-        let baseline = run(
-            &p,
-            &c,
-            ExecConfig::with_partitions(3).mem_budget(0),
-            &NoSink,
-        )
-        .unwrap();
+        let baseline = run(&p, &c, ExecConfig::with_partitions(3), &NoSink).unwrap();
         assert!(baseline.report.spill.is_none());
         for (budget, workers, morsel) in [(1, 1, 1), (1, 7, 3), (4096, 2, 0)] {
             let cfg = ExecConfig::with_partitions(3)

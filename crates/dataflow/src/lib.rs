@@ -18,6 +18,7 @@ pub mod expr;
 pub mod fault;
 pub mod hash;
 pub mod io;
+pub mod matrix;
 pub mod op;
 pub mod optimize;
 pub mod pool;
@@ -30,6 +31,7 @@ pub use context::Context;
 pub use error::{panic_message, EngineError, Result};
 pub use exec::{run, run_observed, ExecConfig, ItemId, Row, RunOutput};
 pub use expr::{CmpOp, Expr, SelectExpr};
+pub use matrix::{ExecMatrix, Shape};
 pub use op::{AggFunc, AggSpec, GroupKey, MapUdf, NamedExpr, OpId, OpKind};
 pub use optimize::{optimize, OptimizeStats};
 pub use pebble_obs::{ObsConfig, RunReport};

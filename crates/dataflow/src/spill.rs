@@ -1,7 +1,7 @@
 //! Out-of-core support: memory accounting and spill files.
 //!
 //! The morsel scheduler runs under an optional memory budget
-//! ([`crate::ExecConfig::mem_budget_bytes`] / `PEBBLE_MEM_BUDGET`). A
+//! ([`crate::ExecConfig::mem_budget_bytes`]). A
 //! [`MemoryTracker`] accounts for pipeline-resident state (materialized
 //! unit outputs); when adding more state would exceed the budget, the
 //! scheduler spills it to disk instead:
@@ -17,8 +17,8 @@
 //! * group shuffle buckets stream to per-bucket files consumed by the
 //!   aggregation jobs.
 //!
-//! Spill files live in a per-run subdirectory of `PEBBLE_SPILL_DIR`
-//! (default: the system temp dir) and are removed when the run's
+//! Spill files live in a per-run subdirectory of the system temp dir
+//! ([`base_dir`]; `TMPDIR` moves it) and are removed when the run's
 //! [`SpillDir`] drops. Every block is CRC-framed; a corrupt or truncated
 //! re-read surfaces as a typed [`EngineError::SpillError`] — never a
 //! panic, and never a message containing a filesystem path (spill paths
@@ -171,7 +171,7 @@ const RUN_DIR_PREFIXES: [&str; 2] = ["pebble-spill-", "pebble-capture-"];
 /// pid counts as alive and nothing is swept. A pid that was reused by an
 /// unrelated live process therefore also counts as alive — the orphan dir
 /// survives until that pid dies, which is the safe side of the collision.
-pub fn sweep_stale_run_dirs(base: &Path) -> usize {
+fn sweep_stale_run_dirs(base: &Path) -> usize {
     let Ok(entries) = fs::read_dir(base) else {
         return 0;
     };
@@ -213,27 +213,27 @@ fn pid_alive(pid: u32) -> bool {
     }
 }
 
-/// Sweeps stale run directories under `base` at most once per process per
-/// base path — runs under a budget are frequent and the readdir need not
-/// be repaid on every one.
-pub fn sweep_stale_run_dirs_once(base: &Path) {
+/// The directory every per-run spill directory (engine and capture layer)
+/// is created in: the system temp dir, i.e. `TMPDIR` on Unix. Stale run
+/// directories under it are swept once per process per path — runs under
+/// a budget are frequent and the readdir need not be repaid on every one.
+pub fn base_dir() -> PathBuf {
     use std::collections::HashSet;
     use std::sync::OnceLock;
     static SWEPT: OnceLock<std::sync::Mutex<HashSet<PathBuf>>> = OnceLock::new();
+    let base = std::env::temp_dir();
     let mut seen = SWEPT
         .get_or_init(|| std::sync::Mutex::new(HashSet::new()))
         .lock()
         .unwrap_or_else(|p| p.into_inner());
-    if seen.insert(base.to_path_buf()) {
-        sweep_stale_run_dirs(base);
+    if seen.insert(base.clone()) {
+        sweep_stale_run_dirs(&base);
     }
+    base
 }
 
-/// A per-run spill directory, removed (with everything in it) on drop.
-///
-/// The parent directory comes from `PEBBLE_SPILL_DIR` when set (and
-/// non-empty), else the system temp dir; the per-run subdirectory name is
-/// unique per process and run.
+/// A per-run spill directory under [`base_dir`], removed (with everything
+/// in it) on drop. The subdirectory name is unique per process and run.
 #[derive(Debug)]
 pub(crate) struct SpillDir {
     path: PathBuf,
@@ -242,11 +242,7 @@ pub(crate) struct SpillDir {
 
 impl SpillDir {
     pub(crate) fn for_run() -> SpillDir {
-        let base = match std::env::var("PEBBLE_SPILL_DIR") {
-            Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
-            _ => std::env::temp_dir(),
-        };
-        sweep_stale_run_dirs_once(&base);
+        let base = base_dir();
         let unique = format!(
             "pebble-spill-{}-{}",
             std::process::id(),

@@ -2,19 +2,19 @@
 //!
 //! The morsel-driven executor specifies that row identifiers, association
 //! tables, *and the order of emitted provenance batches* are byte-identical
-//! at every worker count and morsel size. The referee is the degenerate
-//! scheduler shape `workers(1).morsel_rows(usize::MAX)`: one morsel per
-//! partition, run inline in task order, so identifiers are final as the
-//! kernels produce them and no offset is ever stitched. These tests pin
-//! every other shape against it on representative pipelines over the full
-//! matrix workers {1, 2, 7} × morsel sizes {auto, 1, 64, whole-partition}.
+//! at every worker count, morsel size and memory budget. The referee is
+//! [`ExecMatrix::referee`]: one morsel per partition, run inline in task
+//! order, so identifiers are final as the kernels produce them and no
+//! offset is ever stitched. These tests pin every other shape of the
+//! matrix's scheduler, budget and partition axes against it on
+//! representative pipelines.
 
 use std::sync::Mutex;
 
 use pebble_dataflow::context::items_of;
 use pebble_dataflow::{
-    run, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, ItemId, NamedExpr, OpId, Program,
-    ProgramBuilder, ProvenanceSink,
+    run, AggFunc, AggSpec, Context, ExecConfig, ExecMatrix, Expr, GroupKey, ItemId, NamedExpr,
+    OpId, Program, ProgramBuilder, ProvenanceSink, Shape,
 };
 use pebble_nested::{Path, Value};
 
@@ -195,33 +195,14 @@ fn chain_pipeline() -> Program {
     b.build(f2)
 }
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-/// `0` sizes morsels automatically (small stages then run inline).
-const MORSEL_SIZES: [usize; 4] = [0, 1, 64, usize::MAX];
-
-/// The referee shape: one morsel per partition, inline, nothing stitched.
-fn referee(partitions: usize) -> ExecConfig {
-    ExecConfig::with_partitions(partitions)
-        .workers(1)
-        .morsel_rows(usize::MAX)
-}
-
 fn assert_matrix_deterministic(program: &Program, ctx: &Context, partitions: usize) {
-    let baseline = observe(program, ctx, referee(partitions));
+    let baseline = observe(program, ctx, ExecMatrix::referee(partitions));
 
-    for workers in WORKER_COUNTS {
-        for morsel in MORSEL_SIZES {
-            let cfg = ExecConfig::with_partitions(partitions)
-                .workers(workers)
-                .morsel_rows(morsel);
-            let got = observe(program, ctx, cfg);
-            assert_eq!(baseline.0, got.0, "rows: w={workers} m={morsel}");
-            assert_eq!(baseline.1, got.1, "op_counts: w={workers} m={morsel}");
-            assert_eq!(
-                baseline.2, got.2,
-                "provenance events: w={workers} m={morsel}"
-            );
-        }
+    for shape in ExecMatrix::scheduler() {
+        let got = observe(program, ctx, shape.at(partitions));
+        assert_eq!(baseline.0, got.0, "rows: {shape}");
+        assert_eq!(baseline.1, got.1, "op_counts: {shape}");
+        assert_eq!(baseline.2, got.2, "provenance events: {shape}");
     }
 }
 
@@ -253,60 +234,57 @@ fn flatten_tables(
         .collect()
 }
 
-/// Partitions × (memory budget, morsel rows) × workers {1, 2, 7}, each
-/// against the referee shape at the same partition count and no budget:
-/// rows, identifiers, operator counts, and association tables are
-/// byte-identical — spilling must be invisible in all of them.
-fn assert_table_matrix(
-    program: &Program,
-    ctx: &Context,
-    partitions: &[usize],
-    shapes: &[(usize, usize)],
-) {
+/// Each shape at each partition count against the referee at the same
+/// partition count: rows, identifiers, operator counts, and association
+/// tables are byte-identical — spilling must be invisible in all of them.
+fn assert_table_matrix(program: &Program, ctx: &Context, partitions: &[usize], shapes: &[Shape]) {
     for &parts in partitions {
-        let baseline = observe(program, ctx, referee(parts).mem_budget(0));
+        let baseline = observe(program, ctx, ExecMatrix::referee(parts));
         let base_tables = flatten_tables(&baseline.2);
-        for &(budget, morsel) in shapes {
-            for workers in WORKER_COUNTS {
-                let cfg = ExecConfig::with_partitions(parts)
-                    .workers(workers)
-                    .morsel_rows(morsel)
-                    .mem_budget(budget);
-                let got = observe(program, ctx, cfg);
-                let tag = format!("p={parts} budget={budget} m={morsel} w={workers}");
-                assert_eq!(baseline.0, got.0, "rows: {tag}");
-                assert_eq!(baseline.1, got.1, "op_counts: {tag}");
-                assert_eq!(base_tables, flatten_tables(&got.2), "assoc tables: {tag}");
-            }
+        for shape in shapes {
+            let got = observe(program, ctx, shape.at(parts));
+            let tag = format!("p={parts} {shape}");
+            assert_eq!(baseline.0, got.0, "rows: {tag}");
+            assert_eq!(baseline.1, got.1, "op_counts: {tag}");
+            assert_eq!(base_tables, flatten_tables(&got.2), "assoc tables: {tag}");
         }
     }
 }
 
-/// Budget {unlimited, tight, pathological 1-byte with 1-row morsels}.
-const BUDGET_SHAPES: [(usize, usize); 3] = [(0, 0), (4096, 64), (1, 1)];
+/// The budget axis at every worker count.
+fn budget_shapes() -> Vec<Shape> {
+    let budgets = ExecMatrix::budget();
+    let with_workers = |workers| budgets.map(|b| Shape { workers, ..b });
+    ExecMatrix::WORKERS
+        .into_iter()
+        .flat_map(with_workers)
+        .collect()
+}
 
 #[test]
 fn full_pipeline_deterministic_under_memory_budget() {
     let ctx = skewed_ctx();
-    assert_table_matrix(&full_pipeline(), &ctx, &[3], &BUDGET_SHAPES);
+    assert_table_matrix(&full_pipeline(), &ctx, &[3], &budget_shapes());
 }
 
 #[test]
 fn chain_pipeline_deterministic_under_memory_budget() {
     let ctx = skewed_ctx();
-    assert_table_matrix(&chain_pipeline(), &ctx, &[4], &BUDGET_SHAPES);
+    assert_table_matrix(&chain_pipeline(), &ctx, &[4], &budget_shapes());
 }
 
 #[test]
 fn full_pipeline_tables_identical_across_partition_counts() {
     let ctx = skewed_ctx();
-    assert_table_matrix(&full_pipeline(), &ctx, &[1, 2, 7], &[(0, 7)]);
+    let shapes: Vec<Shape> = ExecMatrix::scheduler().collect();
+    assert_table_matrix(&full_pipeline(), &ctx, &ExecMatrix::partitions(), &shapes);
 }
 
 #[test]
 fn chain_pipeline_tables_identical_across_partition_counts() {
     let ctx = skewed_ctx();
-    assert_table_matrix(&chain_pipeline(), &ctx, &[1, 2, 7], &[(0, 7)]);
+    let shapes: Vec<Shape> = ExecMatrix::scheduler().collect();
+    assert_table_matrix(&chain_pipeline(), &ctx, &ExecMatrix::partitions(), &shapes);
 }
 
 #[test]

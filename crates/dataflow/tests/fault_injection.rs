@@ -5,15 +5,16 @@
 //! Arms deterministic faults via `pebble_dataflow::fault` and checks the
 //! containment contract end to end: a row-level injected error or an
 //! injected panic inside a morsel surfaces as the same typed
-//! `EngineError` — pinned literally — at several partition/worker shapes,
-//! inline (`workers = 1`) and pooled, and the engine runs the next
-//! pipeline normally afterwards.
+//! `EngineError` — pinned literally — at every shape of the executor
+//! matrix, inline and pooled, in memory and spilled, and the engine runs
+//! the next pipeline normally afterwards.
 
 use std::sync::{Mutex, PoisonError};
 
 use pebble_dataflow::fault::{arm, disarm, FaultKind, FaultPlan};
 use pebble_dataflow::{
-    context::items_of, run, Context, EngineError, ExecConfig, Expr, NoSink, ProgramBuilder,
+    context::items_of, run, Context, EngineError, ExecConfig, ExecMatrix, Expr, NoSink,
+    ProgramBuilder,
 };
 use pebble_nested::Value;
 
@@ -38,16 +39,6 @@ fn program() -> (pebble_dataflow::Program, u32) {
     (b.build(f), f)
 }
 
-/// Partition/worker shapes exercised, with tiny morsels so the pool path
-/// actually dispatches many morsels per partition.
-const SHAPES: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 3), (8, 8)];
-
-fn config(parts: usize, workers: usize) -> ExecConfig {
-    ExecConfig::with_partitions(parts)
-        .workers(workers)
-        .morsel_rows(3)
-}
-
 /// An injected row-level error is attributed to the same `(operator,
 /// row)` at every shape: sequence numbers restart per partition and the
 /// lowest task wins, so the winning row is partition 0's row 1 everywhere.
@@ -61,15 +52,14 @@ fn injected_error_is_identical_across_shapes() {
         seq: 1,
         kind: FaultKind::Error,
     });
-    for (parts, workers) in SHAPES {
-        let cfg = config(parts, workers);
+    for cfg in ExecMatrix::all() {
         let err = run(&program, &c, cfg, &NoSink)
             .err()
             .expect("armed run must fail");
         assert_eq!(
             err.to_string(),
             "operator #1: row 0x1: injected fault at sequence 1",
-            "p={parts} w={workers}"
+            "{cfg:?}"
         );
     }
     disarm();
@@ -89,8 +79,7 @@ fn injected_panic_is_contained_and_engine_recovers() {
         seq: 1,
         kind: FaultKind::Panic,
     });
-    for (parts, workers) in SHAPES {
-        let cfg = config(parts, workers);
+    for cfg in ExecMatrix::all() {
         let err = run(&program, &c, cfg, &NoSink)
             .err()
             .expect("armed run must fail");
@@ -99,14 +88,13 @@ fn injected_panic_is_contained_and_engine_recovers() {
             EngineError::WorkerPanic {
                 payload: "injected fault: operator #1 poisoned at sequence 1".into(),
             },
-            "p={parts} w={workers}"
+            "{cfg:?}"
         );
     }
     disarm();
-    for (parts, workers) in SHAPES {
-        let cfg = config(parts, workers);
+    for cfg in ExecMatrix::all() {
         let out = run(&program, &c, cfg, &NoSink).expect("post-fault run succeeds");
-        assert_eq!(out.rows.len(), 32, "p={parts} w={workers}");
+        assert_eq!(out.rows.len(), 32, "{cfg:?}");
     }
 }
 
@@ -117,7 +105,7 @@ fn rearming_after_recovery_fires_again() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (program, filter_op) = program();
     let c = ctx(16);
-    let cfg = config(4, 4);
+    let cfg = ExecConfig::with_partitions(4).workers(4).morsel_rows(3);
     for round in 0..3 {
         arm(FaultPlan {
             op: filter_op,

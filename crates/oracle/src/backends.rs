@@ -26,9 +26,9 @@
 //!   reference evaluates the circuit per world recursively.
 //!
 //! On top of the reference comparison, every engine answer is required
-//! to be byte-identical across execution shapes (partitions {2,7},
-//! workers 2 with tiny morsels, one-byte spill budget) —
-//! backend answers render only identifier-free quantities, so any drift
+//! to be byte-identical across the execution shapes of
+//! [`ExecMatrix::all`] (a rotating slice per seed) — backend answers render
+//! only identifier-free quantities, so any drift
 //! is a determinism bug. Malformed queries are fed to both sides on
 //! every seed and must fail with `Display`-identical errors.
 
@@ -43,7 +43,7 @@ use pebble_core::whynot::{
     source_name, Condition, RouteExplanation, WhyNotAnswer,
 };
 use pebble_core::{run_captured, CapturedRun, ProvAssoc};
-use pebble_dataflow::{Context, EngineError, ExecConfig, ItemId, OpId, Result};
+use pebble_dataflow::{Context, EngineError, ExecConfig, ExecMatrix, ItemId, OpId, Result};
 use pebble_nested::{Path, Value};
 
 use crate::diff::Divergence;
@@ -523,26 +523,21 @@ pub fn check_backends(gen: &Generated) -> Option<Divergence> {
     compare_queries_and_shapes(gen, &program, &ctx, &engine, &reference)
 }
 
-/// The execution shapes every backend answer must be byte-identical across
-/// (the determinism matrix of PR 2/PR 6, applied to rendered answers).
-fn shape_matrix() -> [(&'static str, ExecConfig); 4] {
-    [
-        ("partitions 2", ExecConfig::with_partitions(2)),
-        ("partitions 7", ExecConfig::with_partitions(7)),
-        (
-            "workers 2 / morsel 3",
-            ExecConfig::with_partitions(1).workers(2).morsel_rows(3),
-        ),
-        (
-            "spill budget 1",
-            ExecConfig::with_partitions(1).mem_budget(1),
-        ),
-    ]
+/// One seed's slice of the executor matrix: every ninth configuration of
+/// [`ExecMatrix::all`], rotated by the seed, so any nine consecutive seeds
+/// cover the whole matrix at five captured runs per seed.
+fn seed_shapes(seed: u64) -> impl Iterator<Item = ExecConfig> {
+    const STRIDE: u64 = 9;
+    let first = (seed % STRIDE) as usize;
+    ExecMatrix::all()
+        .into_iter()
+        .skip(first)
+        .step_by(STRIDE as usize)
 }
 
 /// Shared tail of both backend checks: engine answers vs naive answers over
-/// `naive_run`, byte for byte, then engine answers across every execution
-/// shape vs the p=1 baseline, byte for byte.
+/// `naive_run`, byte for byte, then engine answers across the seed's shapes
+/// vs the p=1 baseline, byte for byte.
 fn compare_queries_and_shapes(
     gen: &Generated,
     program: &pebble_dataflow::Program,
@@ -570,14 +565,14 @@ fn compare_queries_and_shapes(
     }
 
     // Engine answers across execution shapes, byte for byte.
-    for (shape, config) in shape_matrix() {
+    for config in seed_shapes(gen.seed) {
         let run = match run_captured(program, ctx, config) {
             Ok(r) => r,
             Err(e) => {
                 return diverge(
                     gen.seed,
                     "backend shape outcome",
-                    format!("{shape}: engine errors ({e}) where baseline succeeded"),
+                    format!("{config:?}: engine errors ({e}) where baseline succeeded"),
                 )
             }
         };
@@ -587,7 +582,10 @@ fn compare_queries_and_shapes(
                 return diverge(
                     gen.seed,
                     "backend shape determinism",
-                    format!("query `{}` at {shape}: `{got}` vs `{baseline}`", q.text()),
+                    format!(
+                        "query `{}` at {config:?}: `{got}` vs `{baseline}`",
+                        q.text()
+                    ),
                 );
             }
         }
@@ -611,7 +609,7 @@ pub fn check_backends_malformed(gen: &Generated) -> Option<Divergence> {
         Ok(run) => run,
         Err(expect) => {
             let expect = expect.to_string();
-            for (shape, config) in shape_matrix() {
+            for config in seed_shapes(gen.seed) {
                 // At other partition counts identifiers — and hence the
                 // failing-row id in the error text — legitimately move
                 // (see `check_malformed`), so those shapes only have to
@@ -623,7 +621,7 @@ pub fn check_backends_malformed(gen: &Generated) -> Option<Divergence> {
                         return diverge(
                             gen.seed,
                             "backend shape outcome",
-                            format!("{shape}: engine succeeds where p=1 rejected ({expect})"),
+                            format!("{config:?}: engine succeeds where p=1 rejected ({expect})"),
                         )
                     }
                     Err(e) => {
@@ -631,7 +629,7 @@ pub fn check_backends_malformed(gen: &Generated) -> Option<Divergence> {
                             return diverge(
                                 gen.seed,
                                 "backend shape outcome",
-                                format!("{shape}: rejects `{e}`, p=1 rejects `{expect}`"),
+                                format!("{config:?}: rejects `{e}`, p=1 rejects `{expect}`"),
                             );
                         }
                     }

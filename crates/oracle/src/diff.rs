@@ -12,17 +12,16 @@
 //!   unfused engine;
 //! * **capture-transparent** — a plain (no-capture) run returns the same
 //!   rows as the captured run;
-//! * **scheduler-invariant** — the morsel-driven pool scheduler at worker
-//!   counts {2, 7} (with forced tiny morsels) agrees bit-for-bit with the
+//! * **scheduler-invariant** — the morsel-driven pool scheduler at every
+//!   shape of [`ExecMatrix::scheduler`] agrees bit-for-bit with the
 //!   `workers: 1` run, which is itself held to the Tab. 5 interpreter with
 //!   identifiers; where no interpreter run exists (rejected and malformed
-//!   cases) the comparison is against the *referee shape*
-//!   `workers(1).morsel_rows(usize::MAX)` at the same partition count —
-//!   one morsel per partition, run inline in task order, identifiers final
-//!   without offset stitching ([`referee_config`]);
-//! * **partition-invariant** — at `partitions: 2` and `7` the engine's
-//!   item sequence and operator counts are unchanged (identifiers may
-//!   differ);
+//!   cases) the comparison is against [`ExecMatrix::referee`] at the same
+//!   partition count — one morsel per partition, run inline in task order,
+//!   identifiers final without offset stitching;
+//! * **partition-invariant** — at the other counts of
+//!   [`ExecMatrix::partitions`] the engine's item sequence and operator
+//!   counts are unchanged (identifiers may differ);
 //! * **one kernel set** — `fused` *is* the vectorized engine (filter/select
 //!   chains, shuffle and probe key hashing), so the comparison with ids
 //!   against the Tab. 5 interpreter above is the kernels' referee; the
@@ -30,12 +29,13 @@
 //!   row fallback under that same comparison, and the two chain kernels are
 //!   held to each other morsel by morsel in `pebble_dataflow`'s `vector`
 //!   tests;
-//! * **spill-invariant** — under a one-byte memory budget
-//!   ([`ExecConfig::mem_budget`]) every operator output, grace-join
-//!   bucket, shuffle partition, and capture association table goes
-//!   through disk, and the run is still bit-identical to the in-memory
-//!   capture (checked at `w=1` and at `w=2` with tiny morsels),
-//!   with real spill traffic reported whenever rows flowed;
+//! * **spill-invariant** — at every budget of [`ExecMatrix::budget`],
+//!   every partition count and every worker count the run is bit-identical
+//!   to the in-memory capture at the same partition count. At 4096 bytes
+//!   some state spills and capture tables drain with a resident tail left
+//!   behind; at one byte every operator output, grace-join bucket, shuffle
+//!   partition, and capture association table goes through disk, with real
+//!   spill traffic reported whenever rows flowed;
 //! * **backtrace-equivalent** — for sampled output items (whole-item
 //!   trees over [`Path::path_set`]) and one tree-pattern query, the
 //!   backtracing results agree bit-for-bit across reference / fused /
@@ -54,46 +54,47 @@ use pebble_core::{
     backtrace, canonical_provenance, run_captured, Backtrace, CapturedRun, PatternNode, ProvTree,
     TreePattern,
 };
-use pebble_dataflow::{run, Context, EngineError, ExecConfig, NoSink, Program, Row};
+use pebble_dataflow::{
+    run, Context, EngineError, ExecConfig, ExecMatrix, NoSink, Program, Row, Shape,
+};
 use pebble_nested::Path;
 
 use crate::gen::Generated;
 use crate::interp::{reference_config, run_reference};
 
-/// Partition counts the engine is additionally exercised at (compared
-/// modulo identifiers).
-pub const ALT_PARTITIONS: [usize; 2] = [2, 7];
+/// The partition counts other than the `partitions: 1` the reference
+/// interpreter models (compared modulo identifiers).
+fn alt_partitions() -> impl Iterator<Item = usize> {
+    ExecMatrix::partitions().into_iter().filter(|&p| p != 1)
+}
 
-/// Worker counts the morsel-driven scheduler is additionally exercised at
-/// (compared **bit-for-bit**: the scheduler specifies identical ids and
-/// provenance at every worker count). Together with the `workers(1)`
-/// baseline this covers worker counts {1, 2, 7}.
-pub const ALT_WORKERS: [usize; 2] = [2, 7];
+/// The legs of the out-of-core axis as `(partitions, shape)`: every
+/// budgeted shape of the budget axis at every partition count, each count
+/// paired with one worker count (1 with 1, 2 with 2, 7 with 7), so both
+/// axes run spilled in full at six runs per case. Capture tables only
+/// drain with a resident tail left behind when an operator receives more
+/// than one batch, i.e. at more than one partition.
+fn spill_legs() -> impl Iterator<Item = (usize, Shape)> {
+    let budgeted = ExecMatrix::budget()
+        .into_iter()
+        .filter(|s| s.mem_budget > 0);
+    budgeted.flat_map(|s| {
+        let counts = ExecMatrix::partitions()
+            .into_iter()
+            .zip(ExecMatrix::WORKERS);
+        counts.map(move |(p, workers)| (p, Shape { workers, ..s }))
+    })
+}
 
-/// Morsel length forced for the [`ALT_WORKERS`] runs. Generated datasets
-/// are small, so an automatic morsel size would fall back to the inline
-/// fast path; a tiny explicit morsel forces real pool dispatch with many
-/// morsels per partition, exercising the stitcher's offset patching.
-const ALT_WORKER_MORSEL: usize = 3;
-
-/// The referee shape at `partitions`: the scheduler degenerated to a
-/// sequential stage-by-stage execution (one morsel per partition, inline,
-/// every stitching offset zero). Every engine shape is specified
-/// bit-identical to it at equal partition count.
-pub fn referee_config(partitions: usize) -> ExecConfig {
-    ExecConfig::with_partitions(partitions)
-        .workers(1)
-        .morsel_rows(usize::MAX)
+/// The shapes held bit-for-bit to the in-memory run at `partitions`: the
+/// scheduler axis plus the out-of-core legs at that count.
+fn shapes_at(partitions: usize) -> impl Iterator<Item = Shape> {
+    let spilled = spill_legs().filter(move |&(p, _)| p == partitions);
+    ExecMatrix::scheduler().chain(spilled.map(|(_, shape)| shape))
 }
 
 /// How many output items get a whole-item backtrace comparison.
 const BACKTRACE_SAMPLES: usize = 3;
-
-/// Memory budget (bytes) for the out-of-core axis. One byte forces every
-/// operator output, grace-join bucket, shuffle partition, and capture
-/// association table through the spill path deterministically — there is
-/// no budget race, every eligible allocation spills.
-const SPILL_BUDGET: usize = 1;
 
 /// One disagreement between the reference and the engine (or between two
 /// engine configurations).
@@ -421,16 +422,13 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
         return Some(d);
     }
 
-    // Worker-count invariance, bit-for-bit: re-run the pool scheduler with
-    // real worker threads and forced tiny morsels; ids, association tables,
-    // and batch orders must not move.
-    for workers in ALT_WORKERS {
-        let config = reference_config()
-            .workers(workers)
-            .morsel_rows(ALT_WORKER_MORSEL);
-        match run_captured(&program, &ctx, config) {
+    // Worker-count and morsel-size invariance, bit-for-bit: re-run the
+    // scheduler at every shape of the matrix's scheduler axis; ids,
+    // association tables, and batch orders must not move.
+    for shape in ExecMatrix::scheduler() {
+        match run_captured(&program, &ctx, shape.at(1)) {
             Ok(r) => {
-                let name = format!("w=1 vs w={workers} (p=1)");
+                let name = format!("w=1 vs {shape} (p=1)");
                 if let Some(d) = compare_captured(seed, &name, &fused, &r) {
                     return Some(d);
                 }
@@ -439,67 +437,8 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
                 return diverge(
                     seed,
                     "error agreement",
-                    format!("engine at w={workers} errors ({e}), w=1 succeeds"),
+                    format!("engine at {shape} errors ({e}), w=1 succeeds"),
                 )
-            }
-        }
-    }
-
-    // Out-of-core invariance, bit-for-bit: a one-byte budget routes every
-    // operator output, join build side, shuffle, and capture association
-    // table through disk; the run must still be indistinguishable from the
-    // in-memory capture (rows, ids, association tables), and must report
-    // real spill traffic whenever any rows flowed.
-    {
-        let rows_flowed = fused.output.op_counts.iter().sum::<usize>() > 0;
-        let configs = [
-            (
-                "in-memory vs spilled (p=1, w=1)".to_string(),
-                reference_config().mem_budget(SPILL_BUDGET),
-            ),
-            (
-                "in-memory vs spilled (p=1, w=2)".to_string(),
-                reference_config()
-                    .workers(2)
-                    .morsel_rows(ALT_WORKER_MORSEL)
-                    .mem_budget(SPILL_BUDGET),
-            ),
-        ];
-        for (name, config) in configs {
-            match run_captured(&program, &ctx, config) {
-                Ok(r) => {
-                    let spilled = r.output.report.spill.as_ref().map(|s| {
-                        s.spills + s.capture_spills > 0 && s.budget_bytes == SPILL_BUDGET as u64
-                    });
-                    match spilled {
-                        Some(true) => {}
-                        Some(false) if !rows_flowed => {}
-                        Some(false) => {
-                            return diverge(
-                                seed,
-                                &name,
-                                "budgeted run reports no spill traffic".to_string(),
-                            )
-                        }
-                        None => {
-                            return diverge(
-                                seed,
-                                &name,
-                                "budgeted run reports no spill stats".to_string(),
-                            )
-                        }
-                    }
-                    if let Some(d) = compare_captured(seed, &name, &fused, &r) {
-                        return Some(d);
-                    }
-                }
-                Err(e) => {
-                    return diverge(
-                        seed,
-                        "error agreement",
-                        format!("budgeted engine errors ({e}), in-memory succeeds ({name})"),
-                    )
-                }
             }
         }
     }
@@ -526,7 +465,7 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
 
     // Partition invariance, modulo identifiers.
     let mut alt_runs: Vec<(usize, CapturedRun)> = Vec::new();
-    for parts in ALT_PARTITIONS {
+    for parts in alt_partitions() {
         let config = ExecConfig::with_partitions(parts);
         match run_captured(&program, &ctx, config) {
             Ok(r) => {
@@ -551,6 +490,57 @@ pub fn check(gen: &Generated) -> Option<Divergence> {
                     seed,
                     "error agreement",
                     format!("engine at p={parts} errors ({e}), p=1 succeeds"),
+                )
+            }
+        }
+    }
+
+    // Out-of-core invariance, bit-for-bit at equal partition count: every
+    // budget must be indistinguishable from the in-memory capture (rows,
+    // ids, association tables). A one-byte budget routes every operator
+    // output, join build side, shuffle, and capture association table
+    // through disk, so it must report real spill traffic whenever any rows
+    // flowed.
+    let rows_flowed = fused.output.op_counts.iter().sum::<usize>() > 0;
+    for (parts, shape) in spill_legs() {
+        let in_memory = alt_runs
+            .iter()
+            .find(|(p, _)| *p == parts)
+            .map_or(&fused, |(_, r)| r);
+        let name = format!("in-memory vs spilled (p={parts}, {shape})");
+        let must_spill = rows_flowed && shape.mem_budget == 1;
+        match run_captured(&program, &ctx, shape.at(parts)) {
+            Ok(r) => {
+                let spilled = r.output.report.spill.as_ref().map(|s| {
+                    s.budget_bytes == shape.mem_budget as u64
+                        && (s.spills + s.capture_spills > 0 || !must_spill)
+                });
+                match spilled {
+                    Some(true) => {}
+                    Some(false) => {
+                        return diverge(
+                            seed,
+                            &name,
+                            "budgeted run reports no spill traffic".to_string(),
+                        )
+                    }
+                    None => {
+                        return diverge(
+                            seed,
+                            &name,
+                            "budgeted run reports no spill stats".to_string(),
+                        )
+                    }
+                }
+                if let Some(d) = compare_captured(seed, &name, in_memory, &r) {
+                    return Some(d);
+                }
+            }
+            Err(e) => {
+                return diverge(
+                    seed,
+                    "error agreement",
+                    format!("budgeted engine errors ({e}), in-memory succeeds ({name})"),
                 )
             }
         }
@@ -619,23 +609,20 @@ fn rejection_agreement(
         ),
         (
             "referee shape".into(),
-            run_captured(program, ctx, referee_config(1)),
+            run_captured(program, ctx, ExecMatrix::referee(1)),
         ),
     ];
-    for workers in ALT_WORKERS {
-        let config = reference_config()
-            .workers(workers)
-            .morsel_rows(ALT_WORKER_MORSEL);
-        checks.push((format!("w={workers}"), run_captured(program, ctx, config)));
+    for shape in ExecMatrix::scheduler() {
+        checks.push((shape.to_string(), run_captured(program, ctx, shape.at(1))));
     }
-    for parts in ALT_PARTITIONS {
+    for (parts, shape) in spill_legs() {
+        let name = format!("{shape} (p={parts})");
+        checks.push((name, run_captured(program, ctx, shape.at(parts))));
+    }
+    for parts in alt_partitions() {
         let config = ExecConfig::with_partitions(parts);
         checks.push((format!("p={parts}"), run_captured(program, ctx, config)));
     }
-    checks.push((
-        "budget=1 (spill)".into(),
-        run_captured(program, ctx, reference_config().mem_budget(SPILL_BUDGET)),
-    ));
     for (name, outcome) in checks {
         match outcome {
             Ok(_) => {
@@ -671,7 +658,7 @@ pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
     let seed = gen.seed;
 
     let fused = run_captured(&program, &ctx, reference_config());
-    let referee = run_captured(&program, &ctx, referee_config(1));
+    let referee = run_captured(&program, &ctx, ExecMatrix::referee(1));
     if let Some(d) = same_outcome(seed, "referee vs engine (p=1)", &referee, &fused) {
         return Some(d);
     }
@@ -718,54 +705,27 @@ pub fn check_malformed(gen: &Generated) -> Option<Divergence> {
         }
     }
 
-    // Worker-count invariance of the whole outcome: the pool at w∈{2,7}
-    // with tiny morsels reproduces the w=1 outcome bit-for-bit — first-
-    // failure selection is deterministic, not a race.
-    for workers in ALT_WORKERS {
-        let config = reference_config()
-            .workers(workers)
-            .morsel_rows(ALT_WORKER_MORSEL);
-        let alt = run_captured(&program, &ctx, config);
-        if let Some(d) = same_outcome(seed, &format!("w=1 vs w={workers} (p=1)"), &fused, &alt) {
+    // Scheduler invariance of the whole outcome: every scheduler shape
+    // reproduces the w=1 outcome bit-for-bit — first-failure selection is
+    // deterministic, not a race. Nor may a budget change the outcome:
+    // spilled blocks replay the exact morsel layout of the in-memory run,
+    // so first-failure selection cannot move. The same holds within every
+    // other partition count below.
+    for shape in shapes_at(1) {
+        let alt = run_captured(&program, &ctx, shape.at(1));
+        if let Some(d) = same_outcome(seed, &format!("w=1 vs {shape} (p=1)"), &fused, &alt) {
             return Some(d);
-        }
-    }
-
-    // Out-of-core failure agreement: a one-byte budget must not change the
-    // outcome — bit-identical capture on success, a `Display`-identical
-    // error on failure. Spilled blocks replay the exact morsel layout of
-    // the in-memory run, so first-failure selection cannot move.
-    {
-        let budgeted = run_captured(&program, &ctx, reference_config().mem_budget(SPILL_BUDGET));
-        if let Some(d) = same_outcome(seed, "in-memory vs spilled (p=1)", &fused, &budgeted) {
-            return Some(d);
-        }
-        for workers in ALT_WORKERS {
-            let config = reference_config()
-                .workers(workers)
-                .morsel_rows(ALT_WORKER_MORSEL)
-                .mem_budget(SPILL_BUDGET);
-            let alt = run_captured(&program, &ctx, config);
-            let name = format!("in-memory vs spilled (p=1, w={workers})");
-            if let Some(d) = same_outcome(seed, &name, &fused, &alt) {
-                return Some(d);
-            }
         }
     }
 
     // At other partition counts identifiers (and hence failing-row ids)
     // legitimately move, so the comparison is against the referee shape
-    // *within* each partition count, not across counts. Tiny explicit
-    // morsels at real worker counts: these cases have a few dozen rows,
-    // which automatic morsel sizing would run inline without dispatching.
-    for parts in ALT_PARTITIONS {
-        let p = run_captured(&program, &ctx, referee_config(parts));
-        for workers in ALT_WORKERS {
-            let config = ExecConfig::with_partitions(parts)
-                .workers(workers)
-                .morsel_rows(ALT_WORKER_MORSEL);
-            let alt = run_captured(&program, &ctx, config);
-            let name = format!("referee vs w={workers} (p={parts})");
+    // *within* each partition count, not across counts.
+    for parts in alt_partitions() {
+        let p = run_captured(&program, &ctx, ExecMatrix::referee(parts));
+        for shape in shapes_at(parts) {
+            let alt = run_captured(&program, &ctx, shape.at(parts));
+            let name = format!("referee vs {shape} (p={parts})");
             if let Some(d) = same_outcome(seed, &name, &p, &alt) {
                 return Some(d);
             }

@@ -14,8 +14,8 @@
 //! * [`gen`] — a seeded, schema-aware **random pipeline generator** over
 //!   Twitter/DBLP-shaped datasets;
 //! * [`diff`] — the **differential runner** comparing reference vs fused
-//!   vs unfused engine, capture on vs off, partition counts 1/2/7, and
-//!   sampled backtraces;
+//!   vs unfused engine, capture on vs off, the shapes of
+//!   [`pebble_dataflow::ExecMatrix`], and sampled backtraces;
 //! * [`minimize`] — a greedy **failure minimizer** shrinking a diverging
 //!   case to a 1-minimal repro and emitting it as a ready-to-paste
 //!   regression test.
@@ -34,10 +34,7 @@ pub mod spec;
 pub use backends::{
     check_backends, check_backends_malformed, fuzz_backends, fuzz_backends_malformed,
 };
-pub use diff::{
-    check, check_malformed, fuzz, fuzz_malformed, referee_config, Divergence, FuzzOutcome,
-    ALT_PARTITIONS,
-};
+pub use diff::{check, check_malformed, fuzz, fuzz_malformed, Divergence, FuzzOutcome};
 pub use gen::{generate, generate_malformed, Generated};
 pub use interp::{reference_config, run_reference};
 pub use minimize::{minimize, minimize_with, regression_code};

@@ -1,13 +1,13 @@
 //! Golden fixtures for a DBLP pipeline covering `flatten` + `groupBy`
 //! provenance: the exact output NDJSON and the exact rendered provenance
 //! (association-table sizes, access/manipulation sets, and a backtrace)
-//! are pinned byte-for-byte.
+//! are pinned byte-for-byte, at every shape of `ExecMatrix::suite(3)`.
 //!
 //! Re-bless after an *intentional* change with
 //! `BLESS=1 cargo test -p pebble-oracle --test dblp_golden`.
 
 use pebble_core::{backtrace, canonical_provenance, run_captured, Backtrace, ProvTree};
-use pebble_dataflow::{AggFunc, AggSpec, ExecConfig, Expr, GroupKey, Program, ProgramBuilder};
+use pebble_dataflow::{AggFunc, AggSpec, ExecMatrix, Expr, GroupKey, Program, ProgramBuilder};
 use pebble_nested::{json, Path};
 use pebble_oracle::run_reference;
 
@@ -56,21 +56,19 @@ fn check_fixture(name: &str, text: &str) {
 /// The pipeline's output rows, pinned as NDJSON.
 #[test]
 fn dblp_flatten_group_output_matches_fixture() {
-    let run = run_captured(
-        &golden_program(),
-        &golden_ctx(),
-        ExecConfig::with_partitions(3),
-    )
-    .expect("golden pipeline runs");
-    let text = run
-        .output
-        .rows
-        .iter()
-        .map(|r| json::item_to_string(&r.item))
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    check_fixture("dblp_flatten_group.ndjson", &text);
+    for config in ExecMatrix::suite(3) {
+        let run =
+            run_captured(&golden_program(), &golden_ctx(), config).expect("golden pipeline runs");
+        let text = run
+            .output
+            .rows
+            .iter()
+            .map(|r| json::item_to_string(&r.item))
+            .collect::<Vec<_>>()
+            .join("\n")
+            + "\n";
+        check_fixture("dblp_flatten_group.ndjson", &text);
+    }
 }
 
 /// The captured provenance and a backtrace through flatten + groupBy,
@@ -78,9 +76,13 @@ fn dblp_flatten_group_output_matches_fixture() {
 /// encode partitioning); everything identifier-free is exact.
 #[test]
 fn dblp_flatten_group_provenance_matches_fixture() {
-    let program = golden_program();
-    let ctx = golden_ctx();
-    let run = run_captured(&program, &ctx, ExecConfig::with_partitions(3)).unwrap();
+    for config in ExecMatrix::suite(3) {
+        check_fixture("dblp_flatten_group.trace", &provenance_report(config));
+    }
+}
+
+fn provenance_report(config: pebble_dataflow::ExecConfig) -> String {
+    let run = run_captured(&golden_program(), &golden_ctx(), config).unwrap();
 
     let mut out = String::new();
     out.push_str("# operator provenance (Def. 5.1, identifier-free parts)\n");
@@ -133,7 +135,7 @@ fn dblp_flatten_group_provenance_matches_fixture() {
     for (source, index, tree) in canonical_provenance(&sources) {
         out.push_str(&format!("{source}[{index}]: {tree}\n"));
     }
-    check_fixture("dblp_flatten_group.trace", &out);
+    out
 }
 
 /// The same pipeline also agrees with the Tab. 5 reference interpreter

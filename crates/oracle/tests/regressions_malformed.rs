@@ -2,15 +2,14 @@
 //!
 //! Same shape as `regressions.rs`, but the pinned contract is the *error
 //! path*: the engine's default shape and the referee shape
-//! (`referee_config`: one morsel per partition, inline) must return
+//! (`ExecMatrix::referee`: one morsel per partition, inline) must return
 //! byte-identical `Err`s for inputs that panic mid-run or fail validation,
 //! at every partition count — a failing run is part of the observable
 //! semantics, not an accident of scheduling.
 
-use pebble_dataflow::{run, EngineError, ExecConfig, NoSink};
+use pebble_dataflow::{run, EngineError, ExecConfig, ExecMatrix, NoSink};
 use pebble_oracle::{
-    check_malformed, generate_malformed, referee_config, DatasetSpec, Generated, OpSpec,
-    PipelineSpec, UdfSpec,
+    check_malformed, generate_malformed, DatasetSpec, Generated, OpSpec, PipelineSpec, UdfSpec,
 };
 
 /// Runs `gen` at `parts` partitions in the default and the referee shape
@@ -24,7 +23,7 @@ fn identical_err(gen: &Generated, parts: usize) -> EngineError {
             .expect("run must fail")
     };
     let default = fail(ExecConfig::with_partitions(parts));
-    let referee = fail(referee_config(parts));
+    let referee = fail(ExecMatrix::referee(parts));
     assert_eq!(default, referee, "errors differ at p={parts}");
     default
 }

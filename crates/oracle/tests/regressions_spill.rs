@@ -7,7 +7,7 @@
 //! * **shape pins** — hand-built pipelines whose state is exactly what the
 //!   budget machinery targets (a grace-partitioned join build, a spilled
 //!   shuffle, a skewed flatten) run through [`check`], whose out-of-core
-//!   axis re-executes them bit-for-bit at a one-byte budget;
+//!   axis re-executes them bit-for-bit at every budget of the matrix;
 //! * **fault pins** — an injected spill-write failure must surface as the
 //!   same typed, path-free `Display` from every configuration and from both
 //!   spill layers (engine operator/bucket spill and capture-sink
@@ -91,7 +91,8 @@ fn join_group_case() -> Generated {
 
 /// Grace-hash join + spilled shuffle + capture spill, bit-identical to the
 /// in-memory run through the full differential matrix (the out-of-core
-/// axis inside [`check`] re-runs this at a one-byte budget, `w∈{1,2}`).
+/// axis inside [`check`] re-runs this at the 4096- and one-byte budgets,
+/// at every worker count).
 #[test]
 fn oracle_pinned_join_group_spill_shape() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -184,7 +185,7 @@ fn spill_fault_display_identical_across_configurations() {
 
 /// Malformed pins: corrupted cases (UDF panics, corrupted paths) keep
 /// their exact outcome — including `Display`-identical failures — under
-/// the one-byte budget axis inside [`check_malformed`].
+/// the budget axis inside [`check_malformed`].
 #[test]
 fn malformed_pinned_seeds_agree_under_budget() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);

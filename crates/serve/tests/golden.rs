@@ -1,11 +1,12 @@
 //! Golden on-disk fixture: the persisted segment of the paper's running
 //! example, pinned as a hexdump. Any byte-level change to the format shows
-//! up as a readable diff here; re-bless deliberately with `BLESS=1`.
+//! up as a readable diff here; re-bless deliberately with `BLESS=1`. Every
+//! shape of `ExecMatrix::suite(1)` must write the same bytes.
 //! A version bump must reject old files with the typed error — also
 //! pinned here.
 
 use pebble_core::run_captured;
-use pebble_dataflow::ExecConfig;
+use pebble_dataflow::{ExecConfig, ExecMatrix};
 use pebble_serve::{persist, ProvStore, StoreError};
 use pebble_workloads::running_example;
 
@@ -14,11 +15,11 @@ const FIXTURE: &str = concat!(
     "/tests/golden/running_example.hex"
 );
 
-fn segment_bytes() -> Vec<u8> {
+fn segment_bytes(config: ExecConfig) -> Vec<u8> {
     let run = run_captured(
         &running_example::program(),
         &running_example::context(),
-        ExecConfig::with_partitions(1).workers(1),
+        config,
     )
     .unwrap();
     persist(&run)
@@ -48,19 +49,21 @@ fn undump(text: &str) -> Vec<u8> {
 
 #[test]
 fn segment_bytes_match_golden_fixture() {
-    let bytes = segment_bytes();
-    let dump = hexdump(&bytes);
     if std::env::var("BLESS").is_ok_and(|v| v == "1") {
+        let dump = hexdump(&segment_bytes(ExecMatrix::referee(1)));
         std::fs::write(FIXTURE, &dump).unwrap();
         return;
     }
     let golden = std::fs::read_to_string(FIXTURE)
         .expect("golden fixture missing — run with BLESS=1 to create it");
-    assert_eq!(
-        dump, golden,
-        "persisted segment bytes changed; if intentional, bump the format \
-         version and re-bless with BLESS=1"
-    );
+    for config in ExecMatrix::suite(1) {
+        assert_eq!(
+            hexdump(&segment_bytes(config)),
+            golden,
+            "persisted segment bytes changed at {config:?}; if intentional, bump the \
+             format version and re-bless with BLESS=1"
+        );
+    }
 }
 
 #[test]
@@ -82,7 +85,7 @@ fn golden_fixture_still_cold_opens() {
 
 #[test]
 fn other_version_files_are_rejected_with_typed_error() {
-    let mut bytes = segment_bytes();
+    let mut bytes = segment_bytes(ExecMatrix::referee(1));
     // A file written by a future (or ancient) format version must be
     // rejected up front — never half-decoded.
     for version in [0u16, 2, 7, u16::MAX] {

@@ -381,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn env_knob_parsing_defaults() {
+    fn load_env_parsing_defaults() {
         // (Env vars are not set in the test harness.)
         let cfg = ClosedLoopConfig::from_env();
         assert!(cfg.tenants > 0 && cfg.requests_per_tenant > 0);

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The one full-workspace test pass. No environment variable shapes the
+# executor: the suites that compare configurations iterate
+# pebble_dataflow::ExecMatrix themselves (scheduler, partition and budget
+# axes; pinned-output suites at ExecMatrix::suite), and
+# scripts/mutants.sh checks that they still catch every planted bug.
 echo "==> cargo test -q"
 cargo test -q --workspace --release
 
@@ -22,23 +27,6 @@ cargo test -q --workspace --release
 # suite (differential corpus included) runs once in the debug profile.
 echo "==> cargo test -q -p pebble-nested (debug profile)"
 cargo test -q -p pebble-nested
-
-# Scheduler matrix: exercise the single-threaded inline path and the
-# pooled morsel path (the env knobs override ExecConfig::default, which
-# most tests and the bench harness use).
-echo "==> cargo test -q (PEBBLE_PARTITIONS=1 PEBBLE_WORKERS=1)"
-PEBBLE_PARTITIONS=1 PEBBLE_WORKERS=1 cargo test -q --workspace --release
-
-echo "==> cargo test -q (PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8 PEBBLE_MORSEL_ROWS=16)"
-PEBBLE_PARTITIONS=8 PEBBLE_WORKERS=8 PEBBLE_MORSEL_ROWS=16 cargo test -q --workspace --release
-
-# Out-of-core matrix: the whole suite under a 4 KiB memory budget, which
-# forces every materialized unit output, join build side, group shuffle,
-# and capture sink through the spill path on every test workload; all
-# results (rows, ids, association tables, error Displays) must stay
-# bit-identical to the in-memory run.
-echo "==> cargo test -q (PEBBLE_MEM_BUDGET=4096)"
-PEBBLE_MEM_BUDGET=4096 cargo test -q --workspace --release
 
 # The `--assert` gates below write their reports under target/ci/ rather
 # than over the tracked BENCH_N.json files, so `git status --porcelain` is
@@ -92,9 +80,9 @@ cargo run -q --release -p pebble-bench --bin servebench -- --assert --out target
 echo "==> backend differential smoke"
 cargo run -q --release -p pebble-oracle --bin oracle_fuzz -- 500 0 backends
 
-# Backend conformance smoke: env selection (PEBBLE_BACKEND) plus all six
-# backends answering byte-identically across shapes on two workloads.
-echo "==> backend smoke (env selection + shape conformance)"
+# Backend conformance smoke: all six backends answering byte-identically
+# across the executor matrix on two workloads.
+echo "==> backend smoke (shape conformance)"
 cargo run -q --release -p pebble-bench --bin backend_smoke
 
 # Backend regression guard: why-not determinism, non-trivial aggregation

@@ -1,17 +1,14 @@
 //! Provenance persistence: captured pebbles survive a round trip through
 //! the shipped `PBSG` segment format, and backtracing over the cold-opened
-//! store returns the same answers as over the live capture.
+//! store returns the same answers as over the live capture — at every
+//! shape of `ExecMatrix::suite(3)`.
 
 use pebble::core::{backtrace, run_captured, CapturedRun, ProvAssoc};
-use pebble::dataflow::{Context, ExecConfig};
+use pebble::dataflow::{Context, ExecMatrix};
 use pebble::serve::{persist, ProvStore};
 use pebble::workloads::{
     dblp_context, dblp_scenarios, twitter_context, twitter_scenarios, Scenario,
 };
-
-fn cfg() -> ExecConfig {
-    ExecConfig::with_partitions(3)
-}
 
 /// The paper's ten scenarios (T1–T5, D1–D5) with their contexts.
 fn cases() -> [(Context, Vec<Scenario>); 2] {
@@ -25,15 +22,18 @@ fn cases() -> [(Context, Vec<Scenario>); 2] {
 fn reloaded_provenance_answers_identically() {
     for (ctx, scenarios) in cases() {
         for s in scenarios {
-            let run = run_captured(&s.program, &ctx, cfg()).unwrap();
-            let store =
-                ProvStore::from_bytes(&persist(&run)).unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(run.ops, store.ops(), "{}: ops roundtrip", s.name);
-            assert_eq!(run.output.rows, store.rows(), "{}: rows roundtrip", s.name);
+            for cfg in ExecMatrix::suite(3) {
+                let tag = format!("{} at {cfg:?}", s.name);
+                let run = run_captured(&s.program, &ctx, cfg).unwrap();
+                let store =
+                    ProvStore::from_bytes(&persist(&run)).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                assert_eq!(run.ops, store.ops(), "{tag}: ops roundtrip");
+                assert_eq!(run.output.rows, store.rows(), "{tag}: rows roundtrip");
 
-            let live = backtrace(&run, s.query.match_rows(&run.output.rows)).unwrap();
-            let replayed = store.backtrace(s.query.match_rows(store.rows())).unwrap();
-            assert_eq!(live, replayed, "{}", s.name);
+                let live = backtrace(&run, s.query.match_rows(&run.output.rows)).unwrap();
+                let replayed = store.backtrace(s.query.match_rows(store.rows())).unwrap();
+                assert_eq!(live, replayed, "{tag}");
+            }
         }
     }
 }
@@ -58,25 +58,27 @@ fn without_associations(mut run: CapturedRun) -> CapturedRun {
 fn encoded_size_tracks_structural_accounting() {
     for (ctx, scenarios) in cases() {
         for s in scenarios {
-            let run = run_captured(&s.program, &ctx, cfg()).unwrap();
-            let accounted = run.structural_bytes();
-            let segment = persist(&run).len();
-            let rest = persist(&without_associations(run)).len();
-            let tag = format!(
-                "{}: {segment} ({rest} non-association) vs {accounted}",
-                s.name
-            );
-            // What the segment spends on the association tables is the
-            // accounted size compressed by the delta/run-length codec:
-            // measured 0.16–0.27 of it over the ten scenarios.
-            let assoc = segment - rest;
-            assert!(assoc * 2 <= accounted, "{tag}");
-            assert!(assoc * 8 >= accounted, "{tag}");
-            // A segment also holds the result rows, schemas and prepared
-            // index permutations, so the whole file is 0.39–1.02 of the
-            // accounting — same order of magnitude, as Fig. 8 assumes.
-            assert!(segment <= accounted * 2, "{tag}");
-            assert!(segment * 4 >= accounted, "{tag}");
+            for cfg in ExecMatrix::suite(3) {
+                let run = run_captured(&s.program, &ctx, cfg).unwrap();
+                let accounted = run.structural_bytes();
+                let segment = persist(&run).len();
+                let rest = persist(&without_associations(run)).len();
+                let tag = format!(
+                    "{} at {cfg:?}: {segment} ({rest} non-association) vs {accounted}",
+                    s.name
+                );
+                // What the segment spends on the association tables is the
+                // accounted size compressed by the delta/run-length codec:
+                // measured 0.16–0.27 of it over the ten scenarios.
+                let assoc = segment - rest;
+                assert!(assoc * 2 <= accounted, "{tag}");
+                assert!(assoc * 8 >= accounted, "{tag}");
+                // A segment also holds the result rows, schemas and prepared
+                // index permutations, so the whole file is 0.39–1.02 of the
+                // accounting — same order of magnitude, as Fig. 8 assumes.
+                assert!(segment <= accounted * 2, "{tag}");
+                assert!(segment * 4 >= accounted, "{tag}");
+            }
         }
     }
 }
