@@ -56,7 +56,7 @@ impl Heatmap {
         for entry in &prov.entries {
             let usage = self.items.entry(entry.index).or_default();
             usage.tuple_count += 1;
-            for node in &entry.tree.roots {
+            for node in entry.tree.roots() {
                 let NodeLabel::Attr(name) = &node.label else {
                     continue;
                 };
@@ -177,7 +177,7 @@ pub fn co_access_pairs(provs: &[&SourceProvenance]) -> Vec<((String, String), us
         for entry in &prov.entries {
             let mut attrs: Vec<&str> = entry
                 .tree
-                .roots
+                .roots()
                 .iter()
                 .filter_map(|n| match &n.label {
                     NodeLabel::Attr(a) if n.contributing => Some(a.as_str()),

@@ -14,6 +14,12 @@
 //! `join`/`union` fork the walk into both predecessors; the results per
 //! `read` operator are merged by input identifier.
 //!
+//! A whole-store question carries far fewer distinct trees than entries,
+//! so one walk hash-conses its trees ([`ProvTree`] is copy-on-write) and
+//! every operator visit rewrites each distinct tree once, handing the
+//! entries that carry it one shared result. A one-entry visit rewrites its
+//! tree in place instead (DESIGN.md, "Backtracing cost model").
+//!
 //! ### Aggregation relevance (Alg. 4 interpretation)
 //!
 //! For bag nesting, a group member is relevant (`inProv`) exactly when the
@@ -26,10 +32,13 @@
 //! queried `user` key, while key-only queries still return the whole group
 //! (which a lineage system would, too).
 
+use std::collections::HashMap;
+use std::hash::Hash;
+
 use pebble_dataflow::{EngineError, ItemId, OpId, Result};
 use pebble_nested::{DataType, Path, Step};
 
-use crate::btree::{Backtrace, ProvTree};
+use crate::btree::{Backtrace, Forest, ProvTree};
 use crate::capture::{CapturedRun, OperatorProvenance, ProvAssoc};
 use pebble_dataflow::hash::FxHashMap;
 
@@ -66,10 +75,18 @@ impl SourceProvenance {
     /// how the metamorphic tests and the differential oracle check that
     /// backtracing results are invariant under partitioning and fusion.
     pub fn canonical_entries(&self) -> Vec<(String, usize, String)> {
+        // Entries share one allocation per distinct tree, so each
+        // allocation is rendered once; `self` keeps them all alive.
+        let mut rendered: FxHashMap<usize, String> = FxHashMap::default();
         let mut out: Vec<(String, usize, String)> = self
             .entries
             .iter()
-            .map(|e| (self.source.clone(), e.index, e.tree.to_string()))
+            .map(|e| {
+                let tree = rendered
+                    .entry(e.tree.alloc_id())
+                    .or_insert_with(|| e.tree.to_string());
+                (self.source.clone(), e.index, tree.clone())
+            })
             .collect();
         out.sort();
         out
@@ -502,9 +519,12 @@ pub struct BacktraceWork {
     /// Entries stepped through an operator, summed over operator visits
     /// (after same-id entries were merged).
     pub entries_in: u64,
-    /// Backtracing trees cloned.
+    /// Deep copies of a backtracing tree made for a rewrite: one per
+    /// distinct tree (or tree and position) an operator visit rewrites, up
+    /// to two per distinct pair of trees merged, none when a one-entry
+    /// visit rewrites a tree it owns in place.
     pub trees_cloned: u64,
-    /// Nodes of the cloned trees.
+    /// Nodes of those deep copies.
     pub nodes_cloned: u64,
     /// Accessed paths expanded against an input schema (`expand_access`
     /// calls) — a per-operator constant, independent of the entry count.
@@ -514,20 +534,97 @@ pub struct BacktraceWork {
 }
 
 impl BacktraceWork {
-    fn clone_of(&mut self, tree: &ProvTree) -> ProvTree {
-        self.count_clone(tree);
-        tree.clone()
-    }
-
-    fn count_clone(&mut self, clone: &ProvTree) {
+    fn count_clone(&mut self, copy: &ProvTree) {
         self.trees_cloned += 1;
-        self.nodes_cloned += clone.len() as u64;
+        self.nodes_cloned += copy.len() as u64;
     }
 
+    /// The nodes of `tree` for a rewrite, counting the deep copy that
+    /// takes when they are shared.
+    fn edit<'t>(&mut self, tree: &'t mut ProvTree) -> &'t mut Forest {
+        if tree.is_shared() {
+            self.count_clone(tree);
+        }
+        tree.edit()
+    }
+}
+
+/// Arena index of a distinct tree value in one walk's [`Interner`].
+type TreeId = u32;
+
+/// Hash-consing for one walk: equal trees share one allocation, and every
+/// distinct value has an arena id that the walk's memos key on. It holds
+/// every tree it has interned until the walk ends, so an allocation it
+/// recorded is never freed and its address never reused meanwhile.
+#[derive(Default)]
+struct Interner {
+    trees: Vec<ProvTree>,
+    /// Keyed by tree content, which a client's question and data shape:
+    /// the default hasher, not Fx, so keys cannot be crafted to collide.
+    by_value: HashMap<ProvTree, TreeId>,
+    /// The allocations of `trees` (and no other): an interned tree is
+    /// found again without hashing its nodes.
+    by_alloc: FxHashMap<usize, TreeId>,
+}
+
+impl Interner {
+    /// The id of `tree`'s value, interning it when it is new.
+    fn id(&mut self, tree: &ProvTree) -> TreeId {
+        if let Some(&id) = self.by_alloc.get(&tree.alloc_id()) {
+            return id;
+        }
+        if let Some(&id) = self.by_value.get(tree) {
+            return id;
+        }
+        let id = self.trees.len() as TreeId;
+        self.trees.push(tree.clone());
+        self.by_value.insert(tree.clone(), id);
+        self.by_alloc.insert(tree.alloc_id(), id);
+        id
+    }
+
+    /// The interned allocation equal to `tree`.
+    fn share(&mut self, tree: &ProvTree) -> ProvTree {
+        let id = self.id(tree);
+        self.trees[id as usize].clone()
+    }
+}
+
+/// What one walk (Alg. 1) carries from visit to visit. Nothing here
+/// outlives the question.
+struct Walk<'w> {
+    work: &'w mut BacktraceWork,
+    trees: Interner,
+    /// Merged tree per ordered `(kept, later)` pair.
+    merges: FxHashMap<(TreeId, TreeId), ProvTree>,
+}
+
+impl Walk<'_> {
+    /// [`Backtrace::merge_by_id`], merging each ordered pair of trees once
+    /// per walk.
     fn merge_by_id(&mut self, b: &mut Backtrace) {
-        let before = b.entries.len();
-        b.merge_by_id();
-        self.entries_merged += (before - b.entries.len()) as u64;
+        let Walk {
+            work,
+            trees,
+            merges,
+        } = self;
+        let folded = b.merge_by_id_with(|kept, later| {
+            let key = (trees.id(kept), trees.id(&later));
+            *kept = merges
+                .entry(key)
+                .or_insert_with(|| {
+                    let mut merged = kept.clone();
+                    for t in [&merged, &later] {
+                        if t.is_shared() {
+                            work.count_clone(t);
+                        }
+                    }
+                    merged.merge(later);
+                    trees.share(&merged)
+                })
+                .clone();
+        });
+        work.entries_merged += folded as u64;
     }
 }
 
@@ -556,39 +653,44 @@ fn backtrace_probe<V: ProvView + ?Sized>(
 ) -> Result<Vec<SourceProvenance>> {
     let mut worklist: Vec<(OpId, Backtrace)> = vec![(view.sink_op(), b)];
     let mut per_read: FxHashMap<OpId, Backtrace> = FxHashMap::default();
+    let walk = &mut Walk {
+        work,
+        trees: Interner::default(),
+        merges: FxHashMap::default(),
+    };
 
     while let Some((oid, mut b)) = worklist.pop() {
-        work.merge_by_id(&mut b);
+        walk.merge_by_id(&mut b);
         if b.entries.is_empty() {
             continue;
         }
-        work.entries_in += b.entries.len() as u64;
+        walk.work.entries_in += b.entries.len() as u64;
         let p = view.prov_op(oid);
         match p.op_type.as_str() {
             "read" => {
                 per_read.entry(oid).or_default().entries.extend(b.entries);
             }
             "filter" | "select" | "map" => {
-                let b2 = backtrace_generic(view, index, p, b, work)?;
+                let b2 = backtrace_generic(view, index, p, b, walk)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "flatten" => {
-                let b2 = backtrace_flatten(view, index, p, b, work)?;
+                let b2 = backtrace_flatten(view, index, p, b, walk)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "aggregation" => {
-                let b2 = backtrace_aggregation(view, index, p, b, work)?;
+                let b2 = backtrace_aggregation(view, index, p, b, walk)?;
                 worklist.push((pred_of(p, 0)?, b2));
             }
             "join" => {
                 for side in 0..2 {
-                    let b2 = backtrace_join_side(view, index, p, &mut b, side, work)?;
+                    let b2 = backtrace_join_side(view, index, p, &mut b, side, walk)?;
                     worklist.push((pred_of(p, side)?, b2));
                 }
             }
             "union" => {
                 for side in 0..2 {
-                    let b2 = backtrace_union_side(index, p, &b, side, work)?;
+                    let b2 = backtrace_union_side(index, p, &b, side)?;
                     worklist.push((pred_of(p, side)?, b2));
                 }
             }
@@ -602,7 +704,14 @@ fn backtrace_probe<V: ProvView + ?Sized>(
 
     let mut out: Vec<SourceProvenance> = Vec::new();
     for (read_op, mut b) in per_read {
-        work.merge_by_id(&mut b);
+        walk.merge_by_id(&mut b);
+        // Equal trees of the answer share one allocation (a lone entry is
+        // left as it is).
+        if b.entries.len() > 1 {
+            for (_, tree) in &mut b.entries {
+                *tree = walk.trees.share(tree);
+            }
+        }
         let index_of = index.read(read_op)?;
         let source = view.read_source(read_op)?;
         let entries = b
@@ -660,62 +769,56 @@ fn all_accessed(p: &OperatorProvenance) -> impl Iterator<Item = &Path> {
     p.inputs.iter().flat_map(|i| i.accessed.iter().flatten())
 }
 
-fn record_accesses(tree: &mut ProvTree, accesses: &[Path], oid: OpId) {
+fn record_accesses(tree: &mut Forest, accesses: &[Path], oid: OpId) {
     for a in accesses {
         tree.access_path(a, oid);
     }
 }
 
-/// Steps entries through one operator. `input_of` moves an entry's id to
-/// the operator's input (`None` drops the entry) and may hand a per-entry
-/// value to `finish`; `rewrite` is the part of the tree rewriting that
-/// depends on the tree alone, `finish` the part that depends on the entry.
+/// Steps entries through one operator whose rewriting depends on the tree
+/// and a per-entry value `X` alone. `input_of` moves an entry's id to the
+/// operator's input (`None` drops the entry) and yields that value;
+/// `rewrite` rewrites a tree the visit owns.
 ///
-/// Consecutive entries carrying equal trees — in a whole-store question
-/// nearly all of them, since every row matched the same pattern — are
-/// rewritten once and the result cloned, in entry order. With `consume`
-/// the trees are taken out of `entries` instead of cloned, so a lone entry
-/// is rewritten in place.
-fn step_runs<X>(
-    entries: &mut [(ItemId, ProvTree)],
-    consume: bool,
-    work: &mut BacktraceWork,
+/// A one-entry visit rewrites its tree in place — taken out of `entries`
+/// with `take`, copied otherwise — with no hash and no memo. A larger visit
+/// rewrites each distinct `(tree, X)` once, interns the result, and hands
+/// every entry that carries that pair the one shared allocation.
+fn step<X: Copy + Eq + Hash>(
+    walk: &mut Walk,
+    entries: &mut Vec<(ItemId, ProvTree)>,
+    take: bool,
     input_of: impl Fn(ItemId) -> Option<(ItemId, X)>,
-    mut rewrite: impl FnMut(&mut ProvTree),
-    mut finish: impl FnMut(&mut ProvTree, X),
+    mut rewrite: impl FnMut(&mut Forest, X),
 ) -> Backtrace {
     let mut out = Backtrace::new();
-    let mut start = 0;
-    while start < entries.len() {
-        let run_tree = &entries[start].1;
-        let end = start
-            + 1
-            + entries[start + 1..]
-                .iter()
-                .take_while(|(_, t)| t == run_tree)
-                .count();
-        let mut taken = consume.then(|| std::mem::take(&mut entries[end - 1].1));
-        let mut inputs = entries[start..end]
-            .iter()
-            .filter_map(|(id, _)| input_of(*id))
-            .peekable();
-        start = end;
-        if inputs.peek().is_none() {
+    if entries.len() == 1 {
+        let (id, mut tree) = if take {
+            entries.pop().expect("one entry")
+        } else {
+            entries[0].clone()
+        };
+        if let Some((input_id, x)) = input_of(id) {
+            rewrite(walk.work.edit(&mut tree), x);
+            // Taking the entry emptied `entries`: its buffer holds the result.
+            if take {
+                out.entries = std::mem::take(entries);
+            }
+            out.entries.push((input_id, tree));
+        }
+        return out;
+    }
+    let mut memo: FxHashMap<(TreeId, X), ProvTree> = FxHashMap::default();
+    for (id, tree) in entries.iter() {
+        let Some((input_id, x)) = input_of(*id) else {
             continue;
-        }
-        let mut tree = taken
-            .take()
-            .unwrap_or_else(|| work.clone_of(&entries[end - 1].1));
-        rewrite(&mut tree);
-        while let Some((input_id, x)) = inputs.next() {
-            let mut t = if inputs.peek().is_some() {
-                work.clone_of(&tree)
-            } else {
-                std::mem::take(&mut tree)
-            };
-            finish(&mut t, x);
-            out.entries.push((input_id, t));
-        }
+        };
+        let rewritten = memo.entry((walk.trees.id(tree), x)).or_insert_with(|| {
+            let mut t = tree.clone();
+            rewrite(walk.work.edit(&mut t), x);
+            walk.trees.share(&t)
+        });
+        out.entries.push((input_id, rewritten.clone()));
     }
     out
 }
@@ -726,7 +829,7 @@ fn backtrace_generic<V: ProvView + ?Sized>(
     index: &BacktraceIndex,
     p: &OperatorProvenance,
     mut b: Backtrace,
-    work: &mut BacktraceWork,
+    walk: &mut Walk,
 ) -> Result<Backtrace> {
     let to_input = index.unary(p.oid)?;
     let input_schema = view.input_schema_of(p.oid, 0);
@@ -746,13 +849,13 @@ fn backtrace_generic<V: ProvView + ?Sized>(
         Some(_) => Vec::new(),
         None => input_schema.schema_paths(),
     };
-    let accesses = expanded_accesses(all_accessed(p), input_schema, work);
-    Ok(step_runs(
+    let accesses = expanded_accesses(all_accessed(p), input_schema, walk.work);
+    Ok(step(
+        walk,
         &mut b.entries,
         true,
-        work,
         |id| to_input.get(&id).map(|&input_id| (input_id, ())),
-        |tree| {
+        |tree, ()| {
             match &p.manipulated {
                 Some(ms) => {
                     tree.manipulate_paths(ms, p.oid);
@@ -769,7 +872,6 @@ fn backtrace_generic<V: ProvView + ?Sized>(
             }
             record_accesses(tree, &accesses, p.oid);
         },
-        |_, ()| {},
     ))
 }
 
@@ -781,7 +883,7 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
     index: &BacktraceIndex,
     p: &OperatorProvenance,
     mut b: Backtrace,
-    work: &mut BacktraceWork,
+    walk: &mut Walk,
 ) -> Result<Backtrace> {
     let to_input = index.flatten(p.oid)?;
     let ms = p.manipulated.as_deref().ok_or_else(|| {
@@ -799,26 +901,27 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
     let input_schema = view.input_schema_of(p.oid, 0);
     // Every access except the flatten element path, which is recorded at
     // the entry's concrete position.
-    let rest_accesses =
-        expanded_accesses(all_accessed(p).filter(|a| *a != m_in), input_schema, work);
-    let mut out = step_runs(
+    let rest_accesses = expanded_accesses(
+        all_accessed(p).filter(|a| *a != m_in),
+        input_schema,
+        walk.work,
+    );
+    let mut out = step(
+        walk,
         &mut b.entries,
         true,
-        work,
         |id| to_input.get(&id).copied(),
-        // Undo ⟨a_col[pos], a_new⟩, leaving a placeholder node …
-        |tree| {
-            tree.manipulate_paths(ms, p.oid);
-        },
         |tree, pos| {
-            // … then substitute the recorded position (mergeTrees, Alg. 2
-            // l.2) and record the access on the concrete element.
+            // Undo ⟨a_col[pos], a_new⟩, leaving a placeholder node, then
+            // substitute the recorded position (mergeTrees, Alg. 2 l.2)
+            // and record the access on the concrete element.
+            tree.manipulate_paths(ms, p.oid);
             tree.fill_placeholder(m_in, pos);
             tree.access_path(&m_in.fill_placeholder(pos), p.oid);
             record_accesses(tree, &rest_accesses, p.oid);
         },
     );
-    work.merge_by_id(&mut out);
+    walk.merge_by_id(&mut out);
     Ok(out)
 }
 
@@ -883,7 +986,7 @@ impl<'a> AggregationStep<'a> {
     /// reports whether the member is in the provenance. `t` may lack the
     /// other positions of the nested collections
     /// ([`ProvTree::clone_at_position`]); they are removed here anyway.
-    fn rewrite_member(&self, t: &mut ProvTree, p_pos: u32, positional_query: bool) -> bool {
+    fn rewrite_member(&self, t: &mut Forest, p_pos: u32, positional_query: bool) -> bool {
         let mut in_prov = false;
         for &(m_in, m_out, is_key) in &self.mappings {
             if m_out.has_placeholder() {
@@ -931,7 +1034,7 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
     index: &BacktraceIndex,
     p: &OperatorProvenance,
     b: Backtrace,
-    work: &mut BacktraceWork,
+    walk: &mut Walk,
 ) -> Result<Backtrace> {
     // pos_flatten (Alg. 4 l. 1): ⟨ids^i, id^o⟩ → ⟨id^i, p_P, id^o⟩.
     let groups = index.agg(p.oid)?;
@@ -942,28 +1045,53 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
         ))
     })?;
     let step = AggregationStep::new(p, ms, view.countstar_outputs(p.oid));
-    let accesses = expanded_accesses(all_accessed(p), view.input_schema_of(p.oid, 0), work);
+    let accesses = expanded_accesses(all_accessed(p), view.input_schema_of(p.oid, 0), walk.work);
+    // The member's tree, or `None` when the member is not in the
+    // provenance. Its copy leaves out what l. 13 removes unread: the other
+    // members' positions.
+    let member = |tree: &ProvTree, p_pos: u32, positional_query: bool, work: &mut BacktraceWork| {
+        let mut t = tree.clone_at_position(&step.collections, p_pos);
+        work.count_clone(&t);
+        let nodes = t.edit();
+        if !step.rewrite_member(nodes, p_pos, positional_query) {
+            return None;
+        }
+        record_accesses(nodes, &accesses, p.oid);
+        Some(t)
+    };
     let mut out = Backtrace::new();
-
-    for (out_id, tree) in &b.entries {
-        let Some(member_ids) = groups.get(out_id) else {
-            continue;
-        };
+    if let [(out_id, tree)] = b.entries.as_slice() {
+        // One entry: every member has a position of its own, so nothing
+        // repeats and nothing is memoized.
         let positional_query = step.is_positional(tree);
-        for (idx, &member_id) in member_ids.iter().enumerate() {
-            let p_pos = idx as u32 + 1;
-            // The member's copy leaves out what l. 13 removes unread: the
-            // other members' positions.
-            let mut t = tree.clone_at_position(&step.collections, p_pos);
-            work.count_clone(&t);
-            if !step.rewrite_member(&mut t, p_pos, positional_query) {
-                continue;
+        for (idx, &member_id) in groups.get(out_id).into_iter().flatten().enumerate() {
+            if let Some(t) = member(tree, idx as u32 + 1, positional_query, walk.work) {
+                out.entries.push((member_id, t));
             }
-            record_accesses(&mut t, &accesses, p.oid);
-            out.entries.push((member_id, t));
+        }
+    } else {
+        let mut positional: FxHashMap<TreeId, bool> = FxHashMap::default();
+        let mut members: FxHashMap<(TreeId, u32), Option<ProvTree>> = FxHashMap::default();
+        for (out_id, tree) in &b.entries {
+            let Some(member_ids) = groups.get(out_id) else {
+                continue;
+            };
+            let id = walk.trees.id(tree);
+            let positional_query = *positional
+                .entry(id)
+                .or_insert_with(|| step.is_positional(tree));
+            for (idx, &member_id) in member_ids.iter().enumerate() {
+                let p_pos = idx as u32 + 1;
+                let t = members.entry((id, p_pos)).or_insert_with(|| {
+                    member(tree, p_pos, positional_query, walk.work).map(|t| walk.trees.share(&t))
+                });
+                if let Some(t) = t {
+                    out.entries.push((member_id, t.clone()));
+                }
+            }
         }
     }
-    work.merge_by_id(&mut out);
+    walk.merge_by_id(&mut out);
     Ok(out)
 }
 
@@ -981,15 +1109,16 @@ fn collection_prefix(m_out: &Path) -> Path {
 
 /// Join backtracing for one input side: move to that side's identifiers,
 /// undo that side's attribute copies/renames, prune nodes belonging to the
-/// other input's schema, and record the key accesses. The right side
-/// (`side == 1`, stepped last) takes the trees out of `b`.
+/// other input's schema, and record the key accesses. Only the right side
+/// (`side == 1`, stepped last) may take a lone entry's tree out of `b`:
+/// the left side copies it, because the right side still needs it.
 fn backtrace_join_side<V: ProvView + ?Sized>(
     view: &V,
     index: &BacktraceIndex,
     p: &OperatorProvenance,
     b: &mut Backtrace,
     side: usize,
-    work: &mut BacktraceWork,
+    walk: &mut Walk,
 ) -> Result<Backtrace> {
     let assoc_index = index.binary(p.oid)?;
     let field_names = |idx: usize| -> Vec<&str> {
@@ -1019,23 +1148,26 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
         })
         .cloned()
         .collect();
-    let accesses = expanded_accesses(p.inputs[side].accessed.iter().flatten(), input_schema, work);
-    Ok(step_runs(
+    let accesses = expanded_accesses(
+        p.inputs[side].accessed.iter().flatten(),
+        input_schema,
+        walk.work,
+    );
+    Ok(step(
+        walk,
         &mut b.entries,
         side == 1,
-        work,
         |id| {
             let &(left, right) = assoc_index.get(&id)?;
             let input_id = if side == 0 { left } else { right };
             input_id.map(|input_id| (input_id, ()))
         },
-        |t| {
+        |t, ()| {
             t.manipulate_paths(&ms, p.oid);
             // Drop nodes that reference the other input's schema.
             t.retain_roots(|name| side_fields.contains(&name));
             record_accesses(t, &accesses, p.oid);
         },
-        |_, ()| {},
     ))
 }
 
@@ -1047,7 +1179,6 @@ fn backtrace_union_side(
     p: &OperatorProvenance,
     b: &Backtrace,
     side: usize,
-    work: &mut BacktraceWork,
 ) -> Result<Backtrace> {
     let assoc_index = index.binary(p.oid)?;
     let mut out = Backtrace::new();
@@ -1057,7 +1188,7 @@ fn backtrace_union_side(
         };
         let input_id = if side == 0 { pair.0 } else { pair.1 };
         if let Some(input_id) = input_id {
-            out.entries.push((input_id, work.clone_of(tree)));
+            out.entries.push((input_id, tree.clone()));
         }
     }
     Ok(out)
@@ -1635,8 +1766,8 @@ mod position_clone_tests {
                 let mut full = tree.clone();
                 let mut pruned = tree.clone_at_position(&step.collections, p_pos);
                 pruned_smaller += usize::from(pruned.len() < full.len());
-                let in_prov_full = step.rewrite_member(&mut full, p_pos, positional);
-                let in_prov_pruned = step.rewrite_member(&mut pruned, p_pos, positional);
+                let in_prov_full = step.rewrite_member(full.edit(), p_pos, positional);
+                let in_prov_pruned = step.rewrite_member(pruned.edit(), p_pos, positional);
                 assert_eq!(in_prov_full, in_prov_pruned, "case {case} position {p_pos}");
                 assert_eq!(full, pruned, "case {case} position {p_pos}:\n{tree}");
                 members_in_prov += usize::from(in_prov_full);
@@ -1645,5 +1776,147 @@ mod position_clone_tests {
         // The cases exercise what they are meant to.
         assert!(pruned_smaller > 500, "{pruned_smaller}");
         assert!(members_in_prov > 500, "{members_in_prov}");
+    }
+}
+
+#[cfg(test)]
+mod sharing_tests {
+    use super::*;
+    use crate::capture::run_captured;
+    use pebble_dataflow::{
+        context::items_of, AggFunc, AggSpec, Context, ExecConfig, Expr, GroupKey, ProgramBuilder,
+    };
+    use pebble_nested::Value;
+    use std::collections::HashSet;
+
+    fn int(v: &Value) -> usize {
+        v.as_int().unwrap() as usize
+    }
+
+    /// Ex. 6.6 over a whole store: every group row carries one shared
+    /// question tree that names nested positions 2 and 3. Members 2 and 3
+    /// of every group are traced, members 1 and 4 are not — the member memo
+    /// keys on the position as well as the tree.
+    #[test]
+    fn shared_question_traces_members_2_and_3() {
+        let mut c = Context::new();
+        c.register(
+            "t",
+            items_of(
+                (0..8)
+                    .map(|i| vec![("k", Value::Int(i / 4)), ("v", Value::Int(i))])
+                    .collect(),
+            ),
+        );
+        let mut b = ProgramBuilder::new();
+        let r = b.read("t");
+        let g = b.group_aggregate(
+            r,
+            vec![GroupKey::new("k")],
+            vec![AggSpec::new(AggFunc::CollectList, "v", "vs")],
+        );
+        let run = run_captured(&b.build(g), &c, ExecConfig::with_partitions(2)).unwrap();
+        let question = ProvTree::from_paths(&[Path::parse("vs[2]"), Path::parse("vs[3]")]);
+        let bt = Backtrace {
+            entries: run
+                .output
+                .rows
+                .iter()
+                .map(|row| (row.id, question.clone()))
+                .collect(),
+        };
+        let sources = backtrace(&run, bt).unwrap();
+        // `v` equals the dataset index, so the nested values name the
+        // members: positions 2 and 3 of each group's `vs`.
+        let mut expected = Vec::new();
+        for row in &run.output.rows {
+            let Some(Value::Bag(vs)) = row.item.get("vs") else {
+                panic!("vs is not a bag: {:?}", row.item);
+            };
+            assert_eq!(vs.len(), 4);
+            expected.extend(vs[1..3].iter().map(int));
+        }
+        expected.sort_unstable();
+        let mut traced: Vec<usize> = sources[0].entries.iter().map(|e| e.index).collect();
+        traced.sort_unstable();
+        assert_eq!(traced, expected);
+        for e in &sources[0].entries {
+            assert!(e.tree.contains(&Path::attr("v")), "{}", e.tree);
+        }
+    }
+
+    /// Exploded rows that all carry one shared tree: each row is rewritten
+    /// at its own position, and the trees of one input item merge — the
+    /// flatten memo keys on the position, the merge memo on both trees.
+    #[test]
+    fn shared_flatten_rows_keep_their_positions() {
+        let mut c = Context::new();
+        let bag = |vs: [i64; 3]| Value::Bag(vs.map(Value::Int).to_vec());
+        c.register(
+            "t",
+            items_of(vec![
+                vec![("ms", bag([1, 2, 3]))],
+                vec![("ms", bag([4, 0, 5]))],
+            ]),
+        );
+        let mut b = ProgramBuilder::new();
+        let r = b.read("t");
+        let f = b.flatten(r, "ms", "m");
+        let kept = b.filter(f, Expr::col("m").gt(Expr::lit(0i64)));
+        let run = run_captured(&b.build(kept), &c, ExecConfig::with_partitions(2)).unwrap();
+        assert_eq!(run.output.rows.len(), 5);
+        let question = ProvTree::from_paths(&[Path::attr("m")]);
+        let bt = Backtrace {
+            entries: run
+                .output
+                .rows
+                .iter()
+                .map(|row| (row.id, question.clone()))
+                .collect(),
+        };
+        let sources = backtrace(&run, bt).unwrap();
+        let positions = |index: usize| -> Vec<bool> {
+            let entry = sources[0]
+                .entries
+                .iter()
+                .find(|e| e.index == index)
+                .unwrap();
+            (1..=3)
+                .map(|pos| entry.tree.contains(&Path::parse(&format!("ms[{pos}]"))))
+                .collect()
+        };
+        assert_eq!(sources[0].entries.len(), 2);
+        assert_eq!(positions(0), [true, true, true]);
+        assert_eq!(positions(1), [true, false, true]);
+    }
+
+    /// The walk hands out one allocation per distinct tree: on D3's
+    /// whole-store answer, distinct allocations and distinct values agree.
+    #[test]
+    fn answer_shares_one_allocation_per_distinct_tree() {
+        let s = pebble_workloads::scenarios::d3();
+        let ctx = pebble_workloads::dblp_context(600);
+        let run = run_captured(&s.program, &ctx, ExecConfig::with_partitions(2)).unwrap();
+        // The scenario's pattern belongs to the workloads crate's copy of
+        // this crate; its match trees are all-contributing, so their paths
+        // rebuild them here.
+        let question = Backtrace {
+            entries: s
+                .query
+                .match_rows(&run.output.rows)
+                .entries
+                .into_iter()
+                .map(|(id, t)| (id, ProvTree::from_paths(&t.contributing_paths())))
+                .collect(),
+        };
+        let answer = backtrace(&run, question).unwrap();
+        let trees: Vec<&ProvTree> = answer
+            .iter()
+            .flat_map(|sp| sp.entries.iter().map(|e| &e.tree))
+            .collect();
+        let allocations: HashSet<usize> = trees.iter().map(|t| t.alloc_id()).collect();
+        let values: HashSet<&ProvTree> = trees.iter().copied().collect();
+        assert!(trees.len() > 10 * values.len(), "{} trees", trees.len());
+        assert_eq!(allocations.len(), values.len());
     }
 }

@@ -17,6 +17,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use pebble_dataflow::OpId;
 use pebble_nested::{Path, Step};
@@ -24,7 +25,7 @@ use pebble_nested::{Path, Step};
 /// Label of a backtracing tree node: an attribute name, a concrete 1-based
 /// position inside a nested collection, or the `[pos]` placeholder used
 /// transiently while undoing `flatten`/nesting (Alg. 2).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeLabel {
     /// Attribute name.
     Attr(String),
@@ -64,7 +65,7 @@ impl NodeLabel {
 }
 
 /// A node of a backtracing tree (Def. 6.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BNode {
     /// Attribute name or collection position.
     pub label: NodeLabel,
@@ -115,11 +116,25 @@ fn merge_sibling(siblings: &mut Vec<BNode>, node: BNode) {
 
 /// A backtracing tree `T` — a forest of attribute nodes under the implicit
 /// root that represents the top-level data item.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Copy-on-write: a clone shares the nodes, and the first mutation of a
+/// shared tree deep-copies them. That is what lets the backtracing walk
+/// hand one rewritten tree to every entry that carries an equal one.
+// `eq` is value equality with a shared-allocation shortcut, so it agrees
+// with the derived, value-based `Hash`.
+#[allow(clippy::derived_hash_with_manual_eq)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct ProvTree {
-    /// Top-level attribute nodes.
-    pub roots: Vec<BNode>,
+    roots: Arc<Forest>,
 }
+
+impl PartialEq for ProvTree {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.roots, &other.roots) || self.roots == other.roots
+    }
+}
+
+impl Eq for ProvTree {}
 
 impl ProvTree {
     /// Empty tree.
@@ -127,101 +142,60 @@ impl ProvTree {
         Self::default()
     }
 
+    /// Top-level attribute nodes.
+    pub fn roots(&self) -> &[BNode] {
+        &self.roots.0
+    }
+
+    /// The nodes, for a rewrite: deep-copied first when they are shared.
+    /// Each call checks the sharing once, so a rewrite of several steps
+    /// takes the nodes once and runs the steps on them.
+    pub(crate) fn edit(&mut self) -> &mut Forest {
+        Arc::make_mut(&mut self.roots)
+    }
+
+    /// Whether another tree shares the nodes, so that [`ProvTree::edit`]
+    /// will copy them.
+    pub(crate) fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.roots) > 1
+    }
+
+    /// Identity of the node allocation: equal for a tree and its clones
+    /// until one of them is mutated. Only meaningful while the tree is
+    /// alive.
+    pub(crate) fn alloc_id(&self) -> usize {
+        Arc::as_ptr(&self.roots) as usize
+    }
+
     /// Builds a tree from contributing paths.
     pub fn from_paths<'a>(paths: impl IntoIterator<Item = &'a Path>) -> Self {
         let mut t = ProvTree::new();
+        let nodes = t.edit();
         for p in paths {
-            t.insert(p, true);
+            nodes.insert(p, true);
         }
         t
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.roots.iter().map(BNode::count).sum()
+        self.roots.0.iter().map(BNode::count).sum()
     }
 
     /// True when the tree has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
+        self.roots.0.is_empty()
     }
 
     /// Inserts a path; every node on a contributing path is marked
     /// contributing (`true` wins over an existing `false`).
     pub fn insert(&mut self, path: &Path, contributing: bool) {
-        let mut nodes = &mut self.roots;
-        for step in path.steps() {
-            let idx = match nodes.iter().position(|n| n.label.matches(step)) {
-                Some(i) => i,
-                None => {
-                    let node = BNode::new(NodeLabel::from_step(step), contributing);
-                    let at = nodes.partition_point(|n| n.label < node.label);
-                    nodes.insert(at, node);
-                    at
-                }
-            };
-            nodes[idx].contributing |= contributing;
-            nodes = &mut nodes[idx].children;
-        }
+        self.edit().insert(path, contributing);
     }
 
     /// True if a node matching `path` exists (placeholder-tolerant).
     pub fn contains(&self, path: &Path) -> bool {
-        !self.find(path).is_empty()
-    }
-
-    fn find(&self, path: &Path) -> Vec<&BNode> {
-        let mut frontier: Vec<&BNode> = Vec::new();
-        let Some((first, rest)) = path.steps().split_first() else {
-            return Vec::new();
-        };
-        for n in &self.roots {
-            if n.label.matches(first) {
-                frontier.push(n);
-            }
-        }
-        for step in rest {
-            let mut next = Vec::new();
-            for n in frontier {
-                for c in &n.children {
-                    if c.label.matches(step) {
-                        next.push(c);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        frontier
-    }
-
-    /// Detaches all nodes matching `path`, returning them.
-    fn detach(&mut self, path: &Path) -> Vec<BNode> {
-        fn go(nodes: &mut Vec<BNode>, steps: &[Step], out: &mut Vec<BNode>) {
-            let Some((step, rest)) = steps.split_first() else {
-                return;
-            };
-            if rest.is_empty() {
-                let mut i = 0;
-                while i < nodes.len() {
-                    if nodes[i].label.matches(step) {
-                        out.push(nodes.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-            } else {
-                for n in nodes.iter_mut() {
-                    if n.label.matches(step) {
-                        go(&mut n.children, rest, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        if !path.is_empty() {
-            go(&mut self.roots, path.steps(), &mut out);
-        }
-        out
+        self.roots.contains(path)
     }
 
     /// A clone without the nested-collection positions other than `pos`:
@@ -264,13 +238,13 @@ impl ProvTree {
         }
         let below: Vec<&[Step]> = collections.iter().map(Path::steps).collect();
         ProvTree {
-            roots: go(&self.roots, &below, pos, false),
+            roots: Arc::new(Forest(go(&self.roots.0, &below, pos, false))),
         }
     }
 
     /// Removes all nodes matching `path` and their subtrees (Alg. 4 l. 13).
     pub fn remove_nodes(&mut self, path: &Path) {
-        let _ = self.detach(path);
+        self.edit().remove_nodes(path);
     }
 
     /// The `manipulatePath` method of Sec. 6.2: if nodes matching the
@@ -282,12 +256,7 @@ impl ProvTree {
     /// is re-labelled with the terminal step of `in` and re-hung under
     /// `in`'s prefix (created on demand, inheriting the contributing flag).
     pub fn manipulate_path(&mut self, m_in: &Path, m_out: &Path, oid: OpId) -> bool {
-        let detached = self.detach(m_out);
-        if detached.is_empty() {
-            return false;
-        }
-        self.graft(m_in, detached, oid);
-        true
+        self.edit().manipulate_path(m_in, m_out, oid)
     }
 
     /// Applies several manipulations *atomically*: all output subtrees are
@@ -296,6 +265,160 @@ impl ProvTree {
     /// `select`) are undone correctly. Returns `true` if any mapping moved
     /// nodes.
     pub fn manipulate_paths(&mut self, mappings: &[(Path, Path)], oid: OpId) -> bool {
+        self.edit().manipulate_paths(mappings, oid)
+    }
+
+    /// The `accessPath` method of Sec. 6.2: ensures the nodes of `path`
+    /// exist (newly created nodes are *influencing*, `c = false`) and adds
+    /// `oid` to the access set of every node along the path.
+    pub fn access_path(&mut self, path: &Path, oid: OpId) {
+        self.edit().access_path(path, oid);
+    }
+
+    /// Replaces `[pos]` placeholder nodes matching `prefix` (a path whose
+    /// last step is `[pos]`) with the concrete position `pos`, merging with
+    /// an existing node of that position (the `mergeTrees` substitution of
+    /// Alg. 2 l. 2).
+    pub fn fill_placeholder(&mut self, prefix: &Path, pos: u32) {
+        self.edit().fill_placeholder(prefix, pos);
+    }
+
+    /// Merges another tree into this one (same-id tree merging of Alg. 2).
+    pub fn merge(&mut self, other: ProvTree) {
+        self.edit().merge(Arc::unwrap_or_clone(other.roots));
+    }
+
+    /// Keeps only root attributes whose name satisfies `keep` (used by the
+    /// join backtrace to prune the other input's schema).
+    pub fn retain_roots(&mut self, keep: impl Fn(&str) -> bool) {
+        self.edit().retain_roots(keep);
+    }
+
+    /// Enumerates `(path, node)` pairs in depth-first order.
+    pub fn nodes(&self) -> Vec<(Path, &BNode)> {
+        fn go<'a>(node: &'a BNode, prefix: &Path, out: &mut Vec<(Path, &'a BNode)>) {
+            let p = prefix.child(node.label.to_step());
+            out.push((p.clone(), node));
+            for c in &node.children {
+                go(c, &p, out);
+            }
+        }
+        let mut out = Vec::new();
+        for n in &self.roots.0 {
+            go(n, &Path::root(), &mut out);
+        }
+        out
+    }
+
+    /// Adds `oid` to the manipulation set of every node (used by the `map`
+    /// backtrace, which has no path information: everything may have been
+    /// restructured).
+    pub fn mark_all_manipulated(&mut self, oid: OpId) {
+        self.edit().mark_all_manipulated(oid);
+    }
+
+    /// All contributing paths (paths to nodes with `c = true`).
+    pub fn contributing_paths(&self) -> Vec<Path> {
+        self.nodes()
+            .into_iter()
+            .filter(|(_, n)| n.contributing)
+            .map(|(p, _)| p)
+            .collect()
+    }
+
+    /// All influencing paths (nodes with `c = false`).
+    pub fn influencing_paths(&self) -> Vec<Path> {
+        self.nodes()
+            .into_iter()
+            .filter(|(_, n)| !n.contributing)
+            .map(|(p, _)| p)
+            .collect()
+    }
+}
+
+/// The top-level nodes of one [`ProvTree`], where its mutations run (each
+/// method is the one of the same name on [`ProvTree`]). Outside this module
+/// it is reached only through [`ProvTree::edit`].
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub(crate) struct Forest(Vec<BNode>);
+
+impl Forest {
+    pub(crate) fn insert(&mut self, path: &Path, contributing: bool) {
+        let mut nodes = &mut self.0;
+        for step in path.steps() {
+            let idx = match nodes.iter().position(|n| n.label.matches(step)) {
+                Some(i) => i,
+                None => {
+                    let node = BNode::new(NodeLabel::from_step(step), contributing);
+                    let at = nodes.partition_point(|n| n.label < node.label);
+                    nodes.insert(at, node);
+                    at
+                }
+            };
+            nodes[idx].contributing |= contributing;
+            nodes = &mut nodes[idx].children;
+        }
+    }
+
+    pub(crate) fn contains(&self, path: &Path) -> bool {
+        let Some((first, rest)) = path.steps().split_first() else {
+            return false;
+        };
+        let mut frontier: Vec<&BNode> = self.0.iter().filter(|n| n.label.matches(first)).collect();
+        for step in rest {
+            frontier = frontier
+                .into_iter()
+                .flat_map(|n| &n.children)
+                .filter(|c| c.label.matches(step))
+                .collect();
+        }
+        !frontier.is_empty()
+    }
+
+    /// Detaches all nodes matching `path`, returning them.
+    fn detach(&mut self, path: &Path) -> Vec<BNode> {
+        fn go(nodes: &mut Vec<BNode>, steps: &[Step], out: &mut Vec<BNode>) {
+            let Some((step, rest)) = steps.split_first() else {
+                return;
+            };
+            if rest.is_empty() {
+                let mut i = 0;
+                while i < nodes.len() {
+                    if nodes[i].label.matches(step) {
+                        out.push(nodes.remove(i));
+                    } else {
+                        i += 1;
+                    }
+                }
+            } else {
+                for n in nodes.iter_mut() {
+                    if n.label.matches(step) {
+                        go(&mut n.children, rest, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        if !path.is_empty() {
+            go(&mut self.0, path.steps(), &mut out);
+        }
+        out
+    }
+
+    pub(crate) fn remove_nodes(&mut self, path: &Path) {
+        let _ = self.detach(path);
+    }
+
+    pub(crate) fn manipulate_path(&mut self, m_in: &Path, m_out: &Path, oid: OpId) -> bool {
+        let detached = self.detach(m_out);
+        if detached.is_empty() {
+            return false;
+        }
+        self.graft(m_in, detached, oid);
+        true
+    }
+
+    pub(crate) fn manipulate_paths(&mut self, mappings: &[(Path, Path)], oid: OpId) -> bool {
         let detached: Vec<(&Path, Vec<BNode>)> = mappings
             .iter()
             .map(|(m_in, m_out)| (m_in, self.detach(m_out)))
@@ -324,7 +447,7 @@ impl ProvTree {
             // Ensure the prefix exists, then merge the node under it.
             self.insert(&prefix, contributing);
             let slot = if prefix.is_empty() {
-                &mut self.roots
+                &mut self.0
             } else {
                 &mut self
                     .find_mut(&prefix)
@@ -346,13 +469,10 @@ impl ProvTree {
                 go(&mut node.children, rest)
             }
         }
-        go(&mut self.roots, path.steps())
+        go(&mut self.0, path.steps())
     }
 
-    /// The `accessPath` method of Sec. 6.2: ensures the nodes of `path`
-    /// exist (newly created nodes are *influencing*, `c = false`) and adds
-    /// `oid` to the access set of every node along the path.
-    pub fn access_path(&mut self, path: &Path, oid: OpId) {
+    pub(crate) fn access_path(&mut self, path: &Path, oid: OpId) {
         // Mark existing matching chains first.
         let mut marked_any = self.mark_access(path, oid);
         if !marked_any {
@@ -377,99 +497,53 @@ impl ProvTree {
             }
             any
         }
-        go(&mut self.roots, path.steps(), oid)
+        go(&mut self.0, path.steps(), oid)
     }
 
-    /// Replaces `[pos]` placeholder nodes matching `prefix` (a path whose
-    /// last step is `[pos]`) with the concrete position `pos`, merging with
-    /// an existing node of that position (the `mergeTrees` substitution of
-    /// Alg. 2 l. 2).
-    pub fn fill_placeholder(&mut self, prefix: &Path, pos: u32) {
+    pub(crate) fn fill_placeholder(&mut self, prefix: &Path, pos: u32) {
         let steps = prefix.steps();
         let Some((Step::AnyPos, init)) = steps.split_last() else {
             return;
         };
         let parent_path = Path::new(init.iter().cloned());
-        let holders: Vec<&mut Vec<BNode>> = if parent_path.is_empty() {
-            vec![&mut self.roots]
+        let children = if parent_path.is_empty() {
+            &mut self.0
         } else {
             match self.find_mut(&parent_path) {
-                Some(n) => vec![&mut n.children],
+                Some(n) => &mut n.children,
                 None => return,
             }
         };
-        for children in holders {
-            if let Some(idx) = children.iter().position(|c| c.label == NodeLabel::AnyPos) {
-                let mut node = children.remove(idx);
-                node.label = NodeLabel::Pos(pos);
-                merge_sibling(children, node);
-            }
+        if let Some(idx) = children.iter().position(|c| c.label == NodeLabel::AnyPos) {
+            let mut node = children.remove(idx);
+            node.label = NodeLabel::Pos(pos);
+            merge_sibling(children, node);
         }
     }
 
-    /// Merges another tree into this one (same-id tree merging of Alg. 2).
-    pub fn merge(&mut self, other: ProvTree) {
-        for node in other.roots {
-            merge_sibling(&mut self.roots, node);
+    pub(crate) fn merge(&mut self, other: Forest) {
+        for node in other.0 {
+            merge_sibling(&mut self.0, node);
         }
     }
 
-    /// Keeps only root attributes whose name satisfies `keep` (used by the
-    /// join backtrace to prune the other input's schema).
-    pub fn retain_roots(&mut self, keep: impl Fn(&str) -> bool) {
-        self.roots.retain(|n| match &n.label {
+    pub(crate) fn retain_roots(&mut self, keep: impl Fn(&str) -> bool) {
+        self.0.retain(|n| match &n.label {
             NodeLabel::Attr(a) => keep(a),
             _ => true,
         });
     }
 
-    /// Enumerates `(path, node)` pairs in depth-first order.
-    pub fn nodes(&self) -> Vec<(Path, &BNode)> {
-        fn go<'a>(node: &'a BNode, prefix: &Path, out: &mut Vec<(Path, &'a BNode)>) {
-            let p = prefix.child(node.label.to_step());
-            out.push((p.clone(), node));
-            for c in &node.children {
-                go(c, &p, out);
-            }
-        }
-        let mut out = Vec::new();
-        for n in &self.roots {
-            go(n, &Path::root(), &mut out);
-        }
-        out
-    }
-
-    /// Adds `oid` to the manipulation set of every node (used by the `map`
-    /// backtrace, which has no path information: everything may have been
-    /// restructured).
-    pub fn mark_all_manipulated(&mut self, oid: OpId) {
+    pub(crate) fn mark_all_manipulated(&mut self, oid: OpId) {
         fn go(node: &mut BNode, oid: OpId) {
             node.manipulated.insert(oid);
             for c in &mut node.children {
                 go(c, oid);
             }
         }
-        for n in &mut self.roots {
+        for n in &mut self.0 {
             go(n, oid);
         }
-    }
-
-    /// All contributing paths (paths to nodes with `c = true`).
-    pub fn contributing_paths(&self) -> Vec<Path> {
-        self.nodes()
-            .into_iter()
-            .filter(|(_, n)| n.contributing)
-            .map(|(p, _)| p)
-            .collect()
-    }
-
-    /// All influencing paths (nodes with `c = false`).
-    pub fn influencing_paths(&self) -> Vec<Path> {
-        self.nodes()
-            .into_iter()
-            .filter(|(_, n)| !n.contributing)
-            .map(|(p, _)| p)
-            .collect()
     }
 }
 
@@ -504,7 +578,7 @@ impl fmt::Display for ProvTree {
             }
             Ok(())
         }
-        for n in &self.roots {
+        for n in self.roots() {
             go(n, 0, f)?;
         }
         Ok(())
@@ -528,17 +602,29 @@ impl Backtrace {
     /// result is ordered by id, and the trees of one id merge in entry
     /// order (the sort is stable).
     pub fn merge_by_id(&mut self) {
+        self.merge_by_id_with(ProvTree::merge);
+    }
+
+    /// [`Backtrace::merge_by_id`], folding each later tree of an id into
+    /// the kept one with `merge`. Returns the number of entries folded.
+    pub(crate) fn merge_by_id_with(
+        &mut self,
+        mut merge: impl FnMut(&mut ProvTree, ProvTree),
+    ) -> usize {
         if self.entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return;
+            return 0;
         }
         self.entries.sort_by_key(|(id, _)| *id);
-        self.entries.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1.merge(std::mem::take(&mut later.1));
+        let before = self.entries.len();
+        let mut merged: Vec<(pebble_dataflow::ItemId, ProvTree)> = Vec::with_capacity(before);
+        for (id, tree) in self.entries.drain(..) {
+            match merged.last_mut() {
+                Some((kept_id, kept)) if *kept_id == id => merge(kept, tree),
+                _ => merged.push((id, tree)),
             }
-            same
-        });
+        }
+        self.entries = merged;
+        before - self.entries.len()
     }
 }
 
@@ -738,8 +824,46 @@ mod tests {
             t.manipulate_path(&Path::parse("c[pos].z"), &Path::parse("a"), 5);
             t.manipulate_path(&Path::parse("b"), &Path::parse("d.e"), 6);
             t.fill_placeholder(&Path::parse("c[pos]"), rng.gen_range(1..4u32));
-            assert_sorted(&t.roots);
+            assert_sorted(t.roots());
         }
+    }
+
+    /// A clone shares its nodes until one side writes: every mutator
+    /// changes the clone it is applied to and leaves the original as it was
+    /// rendered before.
+    #[test]
+    fn mutators_copy_on_write() {
+        let original = tree(&["a.b", "c[pos].x", "d"]);
+        let before = original.to_string();
+        type Mutator = fn(&mut ProvTree);
+        let mutators: [(&str, Mutator); 9] = [
+            ("insert", |t| t.insert(&Path::parse("e.f"), true)),
+            ("manipulate_path", |t| {
+                t.manipulate_path(&Path::attr("z"), &Path::attr("d"), 1);
+            }),
+            ("manipulate_paths", |t| {
+                t.manipulate_paths(&[(Path::attr("y"), Path::parse("a.b"))], 2);
+            }),
+            ("access_path", |t| t.access_path(&Path::parse("a.q"), 3)),
+            ("fill_placeholder", |t| {
+                t.fill_placeholder(&Path::parse("c[pos]"), 4)
+            }),
+            ("merge", |t| t.merge(tree(&["g"]))),
+            ("retain_roots", |t| t.retain_roots(|name| name == "a")),
+            ("remove_nodes", |t| t.remove_nodes(&Path::attr("d"))),
+            ("mark_all_manipulated", |t| t.mark_all_manipulated(5)),
+        ];
+        for (name, mutate) in mutators {
+            let mut copy = original.clone();
+            assert_eq!(copy.alloc_id(), original.alloc_id());
+            mutate(&mut copy);
+            assert_ne!(copy.to_string(), before, "{name} changed nothing");
+            assert_eq!(original.to_string(), before, "{name} wrote through");
+        }
+        // Merging a shared tree in copies it out, too.
+        let mut other = tree(&["g"]);
+        other.merge(original.clone());
+        assert_eq!(original.to_string(), before);
     }
 
     #[test]

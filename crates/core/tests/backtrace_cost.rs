@@ -5,13 +5,15 @@
 //!   query, and to the question that asks for every path of every result
 //!   row — were digested with the backtracing code as it stood before
 //!   `merge_by_id` stopped scanning, Alg. 4 stopped cloning every position
-//!   for every member, and runs of equal trees were rewritten once. The
+//!   for every member, and equal trees were rewritten once (first per run
+//!   of adjacent entries, then per distinct tree of a visit). The
 //!   digests cover identifiers, dataset indexes and rendered trees, per
 //!   partition count; the identifier-free canonical digest is the same at
 //!   every partition count.
 //! * **Work counts.** [`BacktraceWork`] counts repeat exactly, so the
 //!   scaling gate rests on them and not on a timing: schema expansions are a
-//!   per-operator constant, cloned nodes grow linearly with the input.
+//!   per-operator constant, and deep tree copies follow the distinct trees
+//!   of a visit, not its entries.
 
 use pebble_core::{
     backtrace_from_counted, backtrace_with, canonical_provenance, run_captured, Backtrace,
@@ -156,25 +158,28 @@ fn t3_whole_store_answers_are_pinned() {
     assert_pinned(&s, &ctx, every_path_question, every_path);
 }
 
-/// One whole-store D3 question, counted.
-fn d3_work(records: usize) -> (BacktraceWork, CapturedRun) {
-    let s = d3();
-    let run = run_captured(
-        &s.program,
-        &dblp_context(records),
-        ExecConfig::with_partitions(2),
+/// One whole-store question, counted.
+fn counted(
+    s: &Scenario,
+    ctx: &Context,
+    question: fn(&Scenario, &CapturedRun) -> Backtrace,
+) -> (BacktraceWork, CapturedRun) {
+    let run = run_captured(&s.program, ctx, ExecConfig::with_partitions(2)).unwrap();
+    let mut work = BacktraceWork::default();
+    backtrace_from_counted(
+        &run,
+        &BacktraceIndex::build(&run),
+        question(s, &run),
+        &mut work,
     )
     .unwrap();
-    let question = s.query.match_rows(&run.output.rows);
-    let mut work = BacktraceWork::default();
-    backtrace_from_counted(&run, &BacktraceIndex::build(&run), question, &mut work).unwrap();
     (work, run)
 }
 
 #[test]
 fn d3_work_follows_the_answer() {
-    let (small, run) = d3_work(600);
-    let (large, _) = d3_work(1200);
+    let (small, run) = counted(&d3(), &dblp_context(600), scenario_question);
+    let (large, _) = counted(&d3(), &dblp_context(1200), scenario_question);
 
     // Schema expansions: at most one per accessed path of every operator
     // input — whatever the number of entries.
@@ -188,12 +193,22 @@ fn d3_work_follows_the_answer() {
     assert!(small.access_expansions <= accessed_paths, "{small:?}");
     assert_eq!(large.access_expansions, small.access_expansions);
 
-    // Twice the input: more entries, and linearly more cloned nodes.
-    assert!(large.entries_in > small.entries_in, "{large:?} {small:?}");
-    assert!(large.entries_merged > small.entries_merged);
-    assert!(large.trees_cloned > small.trees_cloned);
+    // Twice the input: many more entries, but deep copies follow the
+    // distinct trees, which barely grow.
     assert!(
-        large.nodes_cloned as f64 <= 2.3 * small.nodes_cloned as f64,
+        large.entries_in as f64 >= 1.7 * small.entries_in as f64,
         "{large:?} against {small:?}"
+    );
+    assert!(large.entries_merged > small.entries_merged);
+    assert!(
+        large.trees_cloned as f64 <= 1.25 * small.trees_cloned as f64,
+        "{large:?} against {small:?}"
+    );
+
+    // Trees that differ from row to row: still fewer copies than entries.
+    let (every_path, _) = counted(&t3(), &twitter_context(400), every_path_question);
+    assert!(
+        every_path.trees_cloned < every_path.entries_in,
+        "{every_path:?}"
     );
 }
