@@ -139,63 +139,48 @@ impl PatternNode {
         self
     }
 
-    /// Matches this node against a context value. Returns the matched
-    /// paths (the node's own matched paths plus those of its children), or
-    /// `None` when the node does not match.
-    fn match_against(&self, context: &Value, ctx_path: &Path) -> Option<Vec<Path>> {
-        let targets = self.targets(context, ctx_path);
+    /// Matches this node against a context value reached by `ctx`.
+    /// Returns the matched paths (the node's own matched paths, each
+    /// followed by those of its children), or `None` when the node does
+    /// not match.
+    fn match_against<'a>(&self, context: &'a Value, ctx: &[Seg<'a>]) -> Option<Vec<Segs<'a>>> {
         // A target satisfies the node if its predicate holds and all child
-        // patterns match below it.
-        let mut satisfying: Vec<(Path, Vec<Path>)> = Vec::new();
-        for (path, value) in targets {
+        // patterns match below it; its paths stay in `out` only then.
+        let mut out = Vec::new();
+        let mut satisfying = 0u32;
+        'targets: for (path, value) in self.targets(context, ctx) {
             if let Some(p) = &self.predicate {
                 if !p.eval(value) {
                     continue;
                 }
             }
-            let mut sub_paths = Vec::new();
-            let mut ok = true;
+            let mark = out.len();
+            out.push(path);
             for child in &self.children {
-                match child.match_against(value, &path) {
-                    Some(ps) => sub_paths.extend(ps),
+                match child.match_against(value, &out[mark]) {
+                    Some(ps) => out.extend(ps),
                     None => {
-                        ok = false;
-                        break;
+                        out.truncate(mark);
+                        continue 'targets;
                     }
                 }
             }
-            if ok {
-                satisfying.push((path, sub_paths));
-            }
+            satisfying += 1;
         }
         match self.occurrences {
-            Some((min, max)) => {
-                let n = satisfying.len() as u32;
-                if n < min || n > max {
-                    return None;
-                }
-            }
-            None => {
-                if satisfying.is_empty() {
-                    return None;
-                }
-            }
+            Some((min, max)) if satisfying < min || satisfying > max => None,
+            None if satisfying == 0 => None,
+            _ => Some(out),
         }
-        let mut out = Vec::new();
-        for (path, subs) in satisfying {
-            out.push(path);
-            out.extend(subs);
-        }
-        Some(out)
     }
 
     /// Candidate `(path, value)` targets of this node below `context`.
-    fn targets<'a>(&self, context: &'a Value, ctx_path: &Path) -> Vec<(Path, &'a Value)> {
+    fn targets<'a>(&self, context: &'a Value, ctx: &[Seg<'a>]) -> Vec<(Segs<'a>, &'a Value)> {
         let mut out = Vec::new();
         match self.edge {
-            EdgeKind::Child => collect_child_targets(&self.attr, context, ctx_path, &mut out),
+            EdgeKind::Child => collect_child_targets(&self.attr, context, ctx, &mut out),
             EdgeKind::Descendant => {
-                collect_descendant_targets(&self.attr, context, ctx_path, &mut out)
+                collect_descendant_targets(&self.attr, context, &mut ctx.to_vec(), &mut out)
             }
         }
         if let Some(pos) = self.position {
@@ -203,10 +188,11 @@ impl PatternNode {
             // collection value.
             out = out
                 .into_iter()
-                .filter_map(|(path, value)| {
+                .filter_map(|(mut path, value)| {
                     let elements = value.as_collection()?;
                     let element = elements.get((pos as usize).checked_sub(1)?)?;
-                    Some((path.child(Step::Pos(pos)), element))
+                    path.push(Seg::Pos(pos));
+                    Some((path, element))
                 })
                 .collect();
         }
@@ -214,54 +200,77 @@ impl PatternNode {
     }
 }
 
-fn collect_child_targets<'a>(
-    attr: &str,
-    context: &'a Value,
-    ctx_path: &Path,
-    out: &mut Vec<(Path, &'a Value)>,
-) {
-    match context {
-        Value::Item(d) => {
-            if let Some(v) = d.get(attr) {
-                out.push((ctx_path.child(Step::attr(attr)), v));
-            }
-        }
-        // Elements of a collection-valued context count as direct
-        // children, with their positions recorded.
-        Value::Bag(vs) | Value::Set(vs) => {
-            for (i, v) in vs.iter().enumerate() {
-                let elem_path = ctx_path.child(Step::Pos(i as u32 + 1));
-                if let Value::Item(d) = v {
-                    if let Some(val) = d.get(attr) {
-                        out.push((elem_path.child(Step::attr(attr)), val));
-                    }
-                }
-            }
-        }
-        _ => {}
+/// One step of a matched path, borrowed from the matched item: an
+/// attribute name or a 1-based collection position. Matching carries these
+/// and builds an owned [`Path`] only for a path it keeps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Seg<'a> {
+    Attr(&'a str),
+    Pos(u32),
+}
+
+/// A matched path, from the top-level item down.
+type Segs<'a> = Vec<Seg<'a>>;
+
+fn to_path(segs: &[Seg<'_>]) -> Path {
+    Path::new(segs.iter().map(|s| match *s {
+        Seg::Attr(a) => Step::attr(a),
+        Seg::Pos(i) => Step::Pos(i),
+    }))
+}
+
+/// The attribute `attr` of an item value, with the item's own name string.
+fn field<'a>(value: &'a Value, attr: &str) -> Option<(&'a str, &'a Value)> {
+    match value {
+        Value::Item(d) => d.fields().find(|(name, _)| *name == attr),
+        _ => None,
     }
 }
 
+fn collect_child_targets<'a>(
+    attr: &str,
+    context: &'a Value,
+    ctx: &[Seg<'a>],
+    out: &mut Vec<(Segs<'a>, &'a Value)>,
+) {
+    if let Value::Bag(vs) | Value::Set(vs) = context {
+        // Elements of a collection-valued context count as direct
+        // children, with their positions recorded.
+        for (i, v) in vs.iter().enumerate() {
+            if let Some((name, val)) = field(v, attr) {
+                let steps = [Seg::Pos(i as u32 + 1), Seg::Attr(name)];
+                out.push(([ctx, &steps].concat(), val));
+            }
+        }
+    } else if let Some((name, v)) = field(context, attr) {
+        out.push(([ctx, &[Seg::Attr(name)]].concat(), v));
+    }
+}
+
+/// Every `attr` below `context`. `path` is the path to `context`, pushed
+/// and popped along the walk; only a matching attribute copies it.
 fn collect_descendant_targets<'a>(
     attr: &str,
     context: &'a Value,
-    ctx_path: &Path,
-    out: &mut Vec<(Path, &'a Value)>,
+    path: &mut Segs<'a>,
+    out: &mut Vec<(Segs<'a>, &'a Value)>,
 ) {
     match context {
         Value::Item(d) => {
             for (name, v) in d.fields() {
-                let p = ctx_path.child(Step::attr(name));
+                path.push(Seg::Attr(name));
                 if name == attr {
-                    out.push((p.clone(), v));
+                    out.push((path.clone(), v));
                 }
-                collect_descendant_targets(attr, v, &p, out);
+                collect_descendant_targets(attr, v, path, out);
+                path.pop();
             }
         }
         Value::Bag(vs) | Value::Set(vs) => {
             for (i, v) in vs.iter().enumerate() {
-                let p = ctx_path.child(Step::Pos(i as u32 + 1));
-                collect_descendant_targets(attr, v, &p, out);
+                path.push(Seg::Pos(i as u32 + 1));
+                collect_descendant_targets(attr, v, path, out);
+                path.pop();
             }
         }
         _ => {}
@@ -293,11 +302,11 @@ impl TreePattern {
         let context = Value::Item(item.clone());
         let mut paths = Vec::new();
         for node in &self.children {
-            paths.extend(node.match_against(&context, &Path::root())?);
+            paths.extend(node.match_against(&context, &[])?);
         }
         let mut tree = ProvTree::new();
-        for p in &paths {
-            tree.insert(p, true);
+        for segs in &paths {
+            tree.insert(&to_path(segs), true);
         }
         Some(tree)
     }
@@ -344,10 +353,155 @@ impl TreePattern {
     }
 }
 
+/// The matcher the borrowing one replaced, kept as the tests' referee: it
+/// carries an owned [`Path`] for every target and for every node a
+/// descendant edge visits.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The matched paths of `pattern` on `item`, in match order.
+    pub(super) fn matched_paths(
+        pattern: &TreePattern,
+        item: &pebble_nested::DataItem,
+    ) -> Option<Vec<Path>> {
+        let context = Value::Item(item.clone());
+        let mut paths = Vec::new();
+        for node in &pattern.children {
+            paths.extend(match_against(node, &context, &Path::root())?);
+        }
+        Some(paths)
+    }
+
+    fn match_against(node: &PatternNode, context: &Value, ctx_path: &Path) -> Option<Vec<Path>> {
+        let targets = targets(node, context, ctx_path);
+        let mut satisfying: Vec<(Path, Vec<Path>)> = Vec::new();
+        for (path, value) in targets {
+            if let Some(p) = &node.predicate {
+                if !p.eval(value) {
+                    continue;
+                }
+            }
+            let mut sub_paths = Vec::new();
+            let mut ok = true;
+            for child in &node.children {
+                match match_against(child, value, &path) {
+                    Some(ps) => sub_paths.extend(ps),
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if ok {
+                satisfying.push((path, sub_paths));
+            }
+        }
+        match node.occurrences {
+            Some((min, max)) => {
+                let n = satisfying.len() as u32;
+                if n < min || n > max {
+                    return None;
+                }
+            }
+            None => {
+                if satisfying.is_empty() {
+                    return None;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (path, subs) in satisfying {
+            out.push(path);
+            out.extend(subs);
+        }
+        Some(out)
+    }
+
+    fn targets<'a>(
+        node: &PatternNode,
+        context: &'a Value,
+        ctx_path: &Path,
+    ) -> Vec<(Path, &'a Value)> {
+        let mut out = Vec::new();
+        match node.edge {
+            EdgeKind::Child => collect_child_targets(&node.attr, context, ctx_path, &mut out),
+            EdgeKind::Descendant => {
+                collect_descendant_targets(&node.attr, context, ctx_path, &mut out)
+            }
+        }
+        if let Some(pos) = node.position {
+            out = out
+                .into_iter()
+                .filter_map(|(path, value)| {
+                    let elements = value.as_collection()?;
+                    let element = elements.get((pos as usize).checked_sub(1)?)?;
+                    Some((path.child(Step::Pos(pos)), element))
+                })
+                .collect();
+        }
+        out
+    }
+
+    fn collect_child_targets<'a>(
+        attr: &str,
+        context: &'a Value,
+        ctx_path: &Path,
+        out: &mut Vec<(Path, &'a Value)>,
+    ) {
+        match context {
+            Value::Item(d) => {
+                if let Some(v) = d.get(attr) {
+                    out.push((ctx_path.child(Step::attr(attr)), v));
+                }
+            }
+            Value::Bag(vs) | Value::Set(vs) => {
+                for (i, v) in vs.iter().enumerate() {
+                    let elem_path = ctx_path.child(Step::Pos(i as u32 + 1));
+                    if let Value::Item(d) = v {
+                        if let Some(val) = d.get(attr) {
+                            out.push((elem_path.child(Step::attr(attr)), val));
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn collect_descendant_targets<'a>(
+        attr: &str,
+        context: &'a Value,
+        ctx_path: &Path,
+        out: &mut Vec<(Path, &'a Value)>,
+    ) {
+        match context {
+            Value::Item(d) => {
+                for (name, v) in d.fields() {
+                    let p = ctx_path.child(Step::attr(name));
+                    if name == attr {
+                        out.push((p.clone(), v));
+                    }
+                    collect_descendant_targets(attr, v, &p, out);
+                }
+            }
+            Value::Bag(vs) | Value::Set(vs) => {
+                for (i, v) in vs.iter().enumerate() {
+                    let p = ctx_path.child(Step::Pos(i as u32 + 1));
+                    collect_descendant_targets(attr, v, &p, out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pebble_nested::DataItem;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     /// The result item 102 of Tab. 2.
     fn item_102() -> DataItem {
@@ -475,5 +629,200 @@ mod tests {
                 .child(PatternNode::attr("name").eq("Wrong Name")),
         );
         assert!(p.match_item(&item_102()).is_none());
+    }
+
+    /// The borrowing matcher's paths, owned, in match order.
+    fn matched_paths(pattern: &TreePattern, item: &DataItem) -> Option<Vec<Path>> {
+        let context = Value::Item(item.clone());
+        let mut paths = Vec::new();
+        for node in &pattern.children {
+            paths.extend(
+                node.match_against(&context, &[])?
+                    .iter()
+                    .map(|s| to_path(s)),
+            );
+        }
+        Some(paths)
+    }
+
+    /// Attribute names shared by generated items and patterns, few enough
+    /// that patterns hit often.
+    const NAMES: [&str; 4] = ["a", "b", "id_str", "text"];
+
+    fn scalar() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Bool(true)),
+            (0i64..4).prop_map(Value::Int),
+            (0usize..3).prop_map(|i| Value::str(["x", "y", "xy"][i])),
+        ]
+    }
+
+    fn item_of(values: BoxedStrategy<Value>) -> impl Strategy<Value = DataItem> {
+        prop::collection::vec((0..NAMES.len(), values), 0..5).prop_map(|fields| {
+            let mut d = DataItem::new();
+            for (k, v) in fields {
+                d.set(NAMES[k], v);
+            }
+            d
+        })
+    }
+
+    /// Nested items: items, bags and sets of items or scalars, up to four
+    /// levels deep.
+    fn nested_item() -> impl Strategy<Value = DataItem> {
+        let value = scalar().prop_recursive(4, 64, 4, |inner| {
+            let items = || item_of(inner.clone()).prop_map(Value::Item);
+            prop_oneof![
+                items(),
+                prop::collection::vec(items(), 0..5).prop_map(Value::Bag),
+                prop::collection::vec(items(), 0..4).prop_map(Value::set_from),
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Bag),
+            ]
+        });
+        item_of(value)
+    }
+
+    fn predicate() -> impl Strategy<Value = Option<ValuePred>> {
+        let constant = prop_oneof![
+            (0i64..4).prop_map(Value::Int),
+            (0usize..2).prop_map(|i| Value::str(["x", "y"][i])),
+        ];
+        (0usize..14, constant).prop_map(|(k, c)| match k {
+            0 => Some(ValuePred::Eq(c)),
+            1 => Some(ValuePred::Ne(c)),
+            2 => Some(ValuePred::Lt(c)),
+            3 => Some(ValuePred::Le(c)),
+            4 => Some(ValuePred::Gt(c)),
+            5 => Some(ValuePred::Ge(c)),
+            6 => Some(ValuePred::Contains("x".into())),
+            _ => None,
+        })
+    }
+
+    /// Pattern nodes mixing child and descendant edges, positions, every
+    /// predicate and `[min,max]` boxes, with nested children.
+    fn pattern_node() -> impl Strategy<Value = PatternNode> {
+        let node = (
+            0..NAMES.len(),
+            any::<bool>(),
+            0u32..5,
+            predicate(),
+            (0u32..6, 0u32..3),
+        )
+            .prop_map(|(k, descendant, pos, predicate, (lo, span))| PatternNode {
+                attr: NAMES[k].to_string(),
+                position: (pos > 0 && pos < 4).then_some(pos),
+                edge: if descendant {
+                    EdgeKind::Descendant
+                } else {
+                    EdgeKind::Child
+                },
+                predicate,
+                occurrences: (lo < 2).then_some((lo, lo + span)),
+                children: Vec::new(),
+            })
+            .boxed();
+        node.clone().prop_recursive(2, 16, 3, move |inner| {
+            (node.clone(), prop::collection::vec(inner, 1..3)).prop_map(|(mut n, children)| {
+                n.children = children;
+                n
+            })
+        })
+    }
+
+    #[test]
+    fn borrowing_matcher_equals_reference_on_random_items_and_patterns() {
+        let items = nested_item();
+        let patterns = prop::collection::vec(pattern_node(), 0..3)
+            .prop_map(|children| TreePattern { children });
+        let mut rng = TestRng::deterministic("borrowing_matcher_equals_reference");
+        let (mut matched, mut with_positions) = (0, 0);
+        for case in 0..20_000 {
+            let item = items.generate(&mut rng);
+            let pattern = patterns.generate(&mut rng);
+            let expect = reference::matched_paths(&pattern, &item);
+            assert_eq!(
+                matched_paths(&pattern, &item),
+                expect,
+                "case {case}: {pattern:?} on {item:?}"
+            );
+            let tree = pattern.match_item(&item);
+            let expect_tree = expect.as_ref().map(|ps| ProvTree::from_paths(ps.iter()));
+            assert_eq!(tree, expect_tree, "case {case}");
+            assert_eq!(
+                tree.map(|t| t.to_string()),
+                expect_tree.map(|t| t.to_string())
+            );
+            if let Some(ps) = &expect {
+                matched += usize::from(!ps.is_empty());
+                with_positions += usize::from(
+                    ps.iter()
+                        .any(|p| p.steps().iter().any(|s| matches!(s, Step::Pos(_)))),
+                );
+            }
+        }
+        // The property is not vacuous: many cases match, and many matched
+        // paths run through collection positions.
+        assert!(
+            matched > 800 && with_positions > 400,
+            "{matched} / {with_positions}"
+        );
+    }
+
+    /// The scenarios' questions in the textual syntax. The workloads
+    /// crate builds its patterns with its own copy of this crate, so the
+    /// test parses these into this copy and checks that both render alike.
+    const SCENARIO_PATTERNS: [(&str, &str); 10] = [
+        ("T1", r#"//id_str = "u1", tweets / text ~ "good""#),
+        ("T2", r#"mentioned = "u2""#),
+        ("T3", r#"//id_str = "u3", tweets / text ~ "Hello World""#),
+        ("T4", r#"hashtag = "tag7", users / id_str ~ "u""#),
+        ("T5", "evidence >= 1"),
+        ("D1", r#"publisher = "Publisher 1", //name ~ "Author""#),
+        ("D2", r#"venue = "Journal 3""#),
+        ("D3", r#"name ~ "Author", works / title ~ "Paper""#),
+        ("D4", r#"proceeding ~ "Conf 1", papers / title ~ "Paper""#),
+        ("D5", "n_authors >= 1"),
+    ];
+
+    #[test]
+    fn match_rows_equals_reference_on_the_ten_scenarios() {
+        use pebble_workloads::{dblp_context, dblp_scenarios, twitter_context, twitter_scenarios};
+        let runs = twitter_scenarios()
+            .into_iter()
+            .map(|s| (s, twitter_context(120)))
+            .chain(dblp_scenarios().into_iter().map(|s| (s, dblp_context(120))));
+        let (mut scenarios, mut matching) = (0, 0);
+        for (scenario, ctx) in runs {
+            let run = crate::run_captured(&scenario.program, &ctx, Default::default()).unwrap();
+            let rows = &run.output.rows;
+            let (_, text) = SCENARIO_PATTERNS
+                .iter()
+                .find(|(name, _)| *name == scenario.name)
+                .unwrap();
+            let pattern = TreePattern::parse(text).unwrap();
+            assert_eq!(format!("{pattern:?}"), format!("{:?}", scenario.query));
+            let got = pattern.match_rows(rows);
+            let expect: Vec<(u64, ProvTree)> = rows
+                .iter()
+                .filter_map(|r| {
+                    let paths = reference::matched_paths(&pattern, &r.item)?;
+                    Some((r.id, ProvTree::from_paths(paths.iter())))
+                })
+                .collect();
+            matching += usize::from(!expect.is_empty());
+            assert_eq!(got.entries, expect, "{}", scenario.name);
+            for row in rows {
+                assert_eq!(
+                    matched_paths(&pattern, &row.item),
+                    reference::matched_paths(&pattern, &row.item),
+                    "{}",
+                    scenario.name
+                );
+            }
+            scenarios += 1;
+        }
+        assert_eq!((scenarios, matching), (10, 8));
     }
 }

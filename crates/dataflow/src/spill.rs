@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use pebble_nested::encode::{
     crc32, get_ids_delta, get_item, get_varint, put_ids_delta, put_item, put_varint, take_frame,
-    CodecError, StringTable,
+    CodecError, StringDict, StringTable,
 };
 
 use crate::error::{EngineError, Result};
@@ -346,11 +346,11 @@ pub(crate) fn encode_row_block_shared(rows: &[Row], table: &mut StringTable) -> 
 }
 
 /// Decodes one framed block written by [`encode_row_block_shared`],
-/// appending its table delta to `table`. Blocks must be decoded in file
-/// order with the same running table the writer used.
+/// appending its table delta to `dict`. Blocks must be decoded in file
+/// order into one running dictionary, as the writer encoded them.
 pub(crate) fn decode_row_block_shared(
     mut bytes: &[u8],
-    table: &mut StringTable,
+    dict: &mut StringDict,
 ) -> Result<Vec<Row>, CodecError> {
     let (ty, payload) = take_frame(&mut bytes)?;
     if ty != BLOCK_SPILL_ROWS_SHARED {
@@ -361,7 +361,7 @@ pub(crate) fn decode_row_block_shared(
     }
     let mut cur = payload;
     let ids = get_ids_delta(&mut cur)?;
-    table.decode_append(&mut cur)?;
+    dict.decode_append(&mut cur)?;
     let items_len = get_varint(&mut cur)? as usize;
     if cur.len() != items_len {
         return Err(CodecError(
@@ -370,7 +370,7 @@ pub(crate) fn decode_row_block_shared(
     }
     let mut rows = Vec::with_capacity(ids.len());
     for id in ids {
-        let item = get_item(&mut cur, table)?;
+        let item = get_item(&mut cur, dict)?;
         rows.push(Row { id, item });
     }
     if !cur.is_empty() {
@@ -390,7 +390,7 @@ pub(crate) fn decode_row_block(mut bytes: &[u8]) -> Result<Vec<Row>, CodecError>
     }
     let mut cur = payload;
     let ids = get_ids_delta(&mut cur)?;
-    let table = StringTable::decode(&mut cur)?;
+    let dict = StringDict::decode(&mut cur)?;
     let items_len = get_varint(&mut cur)? as usize;
     if cur.len() != items_len {
         return Err(CodecError(
@@ -399,7 +399,7 @@ pub(crate) fn decode_row_block(mut bytes: &[u8]) -> Result<Vec<Row>, CodecError>
     }
     let mut rows = Vec::with_capacity(ids.len());
     for id in ids {
-        let item = get_item(&mut cur, &table)?;
+        let item = get_item(&mut cur, &dict)?;
         rows.push(Row { id, item });
     }
     if !cur.is_empty() {
@@ -601,11 +601,11 @@ impl SpilledBucket {
     /// Reads the whole bucket back, in append order, replaying the file's
     /// string-table deltas as it goes.
     pub(crate) fn load(&self) -> Result<Vec<Row>> {
-        let mut table = StringTable::new();
+        let mut dict = StringDict::default();
         let mut rows = Vec::with_capacity(self.rows());
         for &meta in &self.inner.parts[0] {
             let buf = self.inner.read_block_bytes(meta)?;
-            let block = decode_row_block_shared(&buf, &mut table)
+            let block = decode_row_block_shared(&buf, &mut dict)
                 .map_err(|e| spill_codec(self.inner.op, &e))?;
             rows.extend(block);
         }
@@ -842,7 +842,7 @@ mod tests {
         let rows = sample_rows(9);
         let mut table = StringTable::new();
         let block = encode_row_block_shared(&rows, &mut table);
-        let mut fresh = StringTable::new();
+        let mut fresh = StringDict::default();
         assert_eq!(decode_row_block_shared(&block, &mut fresh).unwrap(), rows);
         // A shared block never decodes through the self-contained entry
         // point (and vice versa): the type byte differs.
@@ -850,9 +850,141 @@ mod tests {
         let mut corrupt = block.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xff;
-        assert!(decode_row_block_shared(&corrupt, &mut StringTable::new()).is_err());
+        assert!(decode_row_block_shared(&corrupt, &mut StringDict::default()).is_err());
         for cut in 0..block.len() {
-            assert!(decode_row_block_shared(&block[..cut], &mut StringTable::new()).is_err());
+            assert!(decode_row_block_shared(&block[..cut], &mut StringDict::default()).is_err());
+        }
+    }
+
+    /// `rows` with a nested item, a set and string payloads added, so a
+    /// block exercises every value decoder.
+    fn nested_rows(n: usize) -> Vec<Row> {
+        let mut rows = sample_rows(n);
+        for (i, row) in rows.iter_mut().enumerate() {
+            let mut user = DataItem::new();
+            user.push(Label::new("id_str"), Value::str(format!("u{}", i % 3)));
+            user.push(Label::new("score"), Value::Double(i as f64 / 2.0));
+            row.item.push(Label::new("user"), Value::Item(user));
+            row.item.push(
+                Label::new("flags"),
+                Value::set_from([Value::Bool(i % 2 == 0), Value::Null]),
+            );
+        }
+        rows
+    }
+
+    /// `body` framed as a block of type `ty`, with its length and checksum
+    /// right.
+    fn reframe(ty: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        pebble_nested::encode::frame_block(&mut out, ty, body);
+        out
+    }
+
+    /// Damage inside a row block's payload, resealed so that it reaches the
+    /// id, string-table and item decoders instead of stopping at the
+    /// checksum, plus every prefix of the block: both block formats decode
+    /// or fail with a `CodecError`, never panic.
+    #[test]
+    fn resealed_row_block_corruption_is_typed() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let rows = nested_rows(12);
+        let blocks = [
+            (BLOCK_SPILL_ROWS, encode_row_block(&rows)),
+            (
+                BLOCK_SPILL_ROWS_SHARED,
+                encode_row_block_shared(&rows, &mut StringTable::new()),
+            ),
+        ];
+        for (ty, block) in blocks {
+            let decode = |bytes: &[u8]| match ty {
+                BLOCK_SPILL_ROWS => decode_row_block(bytes),
+                _ => decode_row_block_shared(bytes, &mut StringDict::default()),
+            };
+            assert_eq!(decode(&block).unwrap(), rows);
+            for cut in 0..block.len() {
+                assert!(decode(&block[..cut]).is_err(), "prefix {cut}");
+            }
+            let body = &block[5..block.len() - 4];
+            assert_eq!(reframe(ty, body), block);
+            let mut rng = StdRng::seed_from_u64(0x5b11 + u64::from(ty));
+            let mut loaded = 0;
+            let mut classes: BTreeMap<String, usize> = BTreeMap::new();
+            for case in 0..1500 {
+                let mut body = body.to_vec();
+                let len = body.len();
+                match case % 5 {
+                    0 => {
+                        let i = rng.gen_range(0..len);
+                        body[i] ^= 1u8 << rng.gen_range(0..8u32);
+                    }
+                    1 => {
+                        let i = rng.gen_range(0..len);
+                        body[i] = rng.gen_range(0..=255u32) as u8;
+                    }
+                    2 => {
+                        let i = rng.gen_range(0..len);
+                        for byte in body.iter_mut().skip(i).take(4) {
+                            *byte = rng.gen_range(0..=255u32) as u8;
+                        }
+                    }
+                    3 => body.truncate(rng.gen_range(0..len)),
+                    _ => {
+                        let i = rng.gen_range(0..=len);
+                        let n = rng.gen_range(1..8usize);
+                        let junk: Vec<u8> =
+                            (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+                        body.splice(i..i, junk);
+                    }
+                }
+                match decode(&reframe(ty, &body)) {
+                    Ok(_) => loaded += 1,
+                    Err(CodecError(msg)) => {
+                        // The message without its numbers and names:
+                        // `string id 7 out of range` → `string id out of range`.
+                        let class: Vec<&str> = msg
+                            .split(' ')
+                            .filter(|w| w.parse::<u64>().is_err() && !w.starts_with('`'))
+                            .collect();
+                        *classes.entry(class.join(" ")).or_default() += 1;
+                    }
+                }
+            }
+            eprintln!("resealed spill block type {ty}: {loaded} decode, rejected {classes:?}");
+            assert!(classes.len() >= 5, "{classes:?}");
+        }
+    }
+
+    /// A well-framed block whose item names one attribute twice (here: one
+    /// name stored at two table positions) is a codec error, reported as a
+    /// spill error on reload.
+    #[test]
+    fn row_block_repeating_an_attribute_is_a_codec_error() {
+        let mut table = Vec::new();
+        put_varint(&mut table, 2);
+        pebble_nested::encode::put_str(&mut table, "a");
+        pebble_nested::encode::put_str(&mut table, "a");
+        let item = [2u8, 0, 0, 1, 0]; // two attributes, ids 0 and 1, both null
+        for ty in [BLOCK_SPILL_ROWS, BLOCK_SPILL_ROWS_SHARED] {
+            let mut body = Vec::new();
+            put_ids_delta(&mut body, &[1]);
+            body.extend_from_slice(&table);
+            put_varint(&mut body, item.len() as u64);
+            body.extend_from_slice(&item);
+            let block = reframe(ty, &body);
+            let e = match ty {
+                BLOCK_SPILL_ROWS => decode_row_block(&block),
+                _ => decode_row_block_shared(&block, &mut StringDict::default()),
+            }
+            .unwrap_err();
+            assert_eq!(e.0, "duplicate attribute `a` in item");
+            assert_eq!(
+                spill_codec(4, &e).to_string(),
+                "spill failed at operator #4: reload spill block: duplicate attribute `a` in item"
+            );
         }
     }
 

@@ -9,7 +9,7 @@
 //! * delta-encoded identifier sequences (ids are near-sequential, so the
 //!   deltas are tiny);
 //! * an interned [`StringTable`] so repeated labels and string constants
-//!   are stored once;
+//!   are stored once, read back positionally by a [`StringDict`];
 //! * recursive codecs for [`Value`], [`DataItem`] and [`DataType`].
 //!
 //! Every decoder is total: malformed input yields a [`CodecError`], never a
@@ -326,8 +326,7 @@ pub fn get_ids_delta(buf: &mut &[u8]) -> Result<Vec<u64>, CodecError> {
     Ok(ids)
 }
 
-/// An interned string table: encode side assigns dense ids on first use,
-/// decode side resolves ids back to shared [`Arc<str>`] allocations.
+/// The encode side of the string table: assigns dense ids on first use.
 ///
 /// Interning is keyed by content (the wire format stores each distinct
 /// string once, in first-use order), with a pointer-keyed fast path for
@@ -337,40 +336,17 @@ pub fn get_ids_delta(buf: &mut &[u8]) -> Result<Vec<u64>, CodecError> {
 /// hash instead of re-hashing string content. Every pointer-cached `Arc`
 /// is pinned by the table, so an address can never be recycled for a
 /// different string while the cache is alive.
-#[derive(Debug, Default)]
+///
+/// The interned strings live in a [`StringDict`], which the table derefs
+/// to, so items encoded against a table decode against it as well.
+#[derive(Debug, Default, Clone)]
 pub struct StringTable {
     index: HashMap<Arc<str>, u64, FxBuild>,
     by_ptr: HashMap<usize, u64, FxBuild>,
-    /// Pins for pointer-cache entries whose `Arc` is not in `strings`
+    /// Pins for pointer-cache entries whose `Arc` is not in `dict`
     /// (same content reached through a second allocation).
     pins: Vec<Arc<str>>,
-    strings: Vec<Arc<str>>,
-    /// Lazily resolved [`Label`] per string, so decoding an item's labels
-    /// costs an `Arc` clone instead of a global intern-table lock per
-    /// attribute occurrence.
-    labels: Vec<OnceLock<Label>>,
-}
-
-impl Clone for StringTable {
-    fn clone(&self) -> Self {
-        StringTable {
-            index: self.index.clone(),
-            by_ptr: self.by_ptr.clone(),
-            pins: self.pins.clone(),
-            strings: self.strings.clone(),
-            labels: self
-                .labels
-                .iter()
-                .map(|c| {
-                    let fresh = OnceLock::new();
-                    if let Some(l) = c.get() {
-                        let _ = fresh.set(l.clone());
-                    }
-                    fresh
-                })
-                .collect(),
-        }
-    }
+    dict: StringDict,
 }
 
 fn arc_addr(s: &Arc<str>) -> usize {
@@ -390,8 +366,10 @@ impl StringTable {
             index: HashMap::with_capacity_and_hasher(strings, FxBuild::default()),
             by_ptr: HashMap::with_capacity_and_hasher(strings, FxBuild::default()),
             pins: Vec::new(),
-            strings: Vec::with_capacity(strings),
-            labels: Vec::with_capacity(strings),
+            dict: StringDict {
+                strings: Vec::with_capacity(strings),
+                labels: Vec::with_capacity(strings),
+            },
         }
     }
 
@@ -425,16 +403,95 @@ impl StringTable {
     }
 
     fn push_new(&mut self, s: Arc<str>) -> u64 {
-        let id = self.strings.len() as u64;
+        let id = self.dict.len() as u64;
         self.by_ptr.insert(arc_addr(&s), id);
         self.index.insert(Arc::clone(&s), id);
-        self.strings.push(s);
-        self.labels.push(OnceLock::new());
+        self.dict.push(s);
         id
     }
 
-    /// Resolves an id assigned by [`StringTable::intern`] or read by
-    /// [`StringTable::decode`].
+    /// Appends the table: count followed by length-prefixed strings in id
+    /// order.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_from(0, buf);
+    }
+
+    /// Appends only the strings interned since `mark` (a prior
+    /// [`len`](StringDict::len) value): count followed by length-prefixed
+    /// strings in id order. Sequential spill files use this to carry one
+    /// file-scoped table as per-block deltas, so a string repeated across
+    /// blocks is written once.
+    pub fn encode_from(&self, mark: usize, buf: &mut Vec<u8>) {
+        let strings = &self.dict.strings[mark..];
+        put_varint(buf, strings.len() as u64);
+        for s in strings {
+            put_str(buf, s);
+        }
+    }
+}
+
+impl std::ops::Deref for StringTable {
+    type Target = StringDict;
+
+    fn deref(&self) -> &StringDict {
+        &self.dict
+    }
+}
+
+/// The decode side of the string table: the strings of an encoded table
+/// in stored order. A string's id is its position, which is exactly how
+/// [`StringTable`] assigns ids, so decoding reads each string once into
+/// one `Arc<str>` and hashes nothing.
+#[derive(Debug, Default, Clone)]
+pub struct StringDict {
+    strings: Vec<Arc<str>>,
+    /// Lazily resolved [`Label`] per string, so decoding an item's labels
+    /// costs an `Arc` clone instead of a global intern-table lock per
+    /// attribute occurrence.
+    labels: Vec<OnceLock<Label>>,
+}
+
+impl StringDict {
+    /// Reads a table written by [`StringTable::encode`].
+    pub fn decode(buf: &mut &[u8]) -> Result<StringDict, CodecError> {
+        let mut dict = StringDict::default();
+        dict.decode_append(buf)?;
+        Ok(dict)
+    }
+
+    /// Reads a table or delta written by [`StringTable::encode`] /
+    /// [`StringTable::encode_from`], appending the entries to this
+    /// dictionary. Ids line up with the encoder's as long as deltas are
+    /// applied in file order.
+    pub fn decode_append(&mut self, buf: &mut &[u8]) -> Result<(), CodecError> {
+        let len = get_varint(buf)? as usize;
+        // Every string costs at least its length byte.
+        if buf.len() < len {
+            return err("truncated string table");
+        }
+        self.strings.reserve(len);
+        for _ in 0..len {
+            let n = get_varint(buf)? as usize;
+            if buf.len() < n {
+                return err("truncated string");
+            }
+            let (bytes, rest) = buf.split_at(n);
+            *buf = rest;
+            let Ok(s) = std::str::from_utf8(bytes) else {
+                return err("invalid UTF-8");
+            };
+            self.strings.push(Arc::from(s));
+        }
+        self.labels.resize_with(self.strings.len(), OnceLock::new);
+        Ok(())
+    }
+
+    fn push(&mut self, s: Arc<str>) {
+        self.strings.push(s);
+        self.labels.push(OnceLock::new());
+    }
+
+    /// Resolves an id: the string at that position.
     pub fn get(&self, id: u64) -> Result<&Arc<str>, CodecError> {
         match self.strings.get(id as usize) {
             Some(s) => Ok(s),
@@ -442,7 +499,7 @@ impl StringTable {
         }
     }
 
-    /// Resolves an id to its interned [`Label`], memoized per table entry.
+    /// Resolves an id to its interned [`Label`], memoized per entry.
     pub fn label(&self, id: u64) -> Result<Label, CodecError> {
         match (self.labels.get(id as usize), self.strings.get(id as usize)) {
             (Some(cell), Some(s)) => Ok(cell.get_or_init(|| Label::new(s)).clone()),
@@ -450,58 +507,14 @@ impl StringTable {
         }
     }
 
-    /// Number of interned strings.
+    /// Number of strings.
     pub fn len(&self) -> usize {
         self.strings.len()
     }
 
-    /// True when no strings have been interned.
+    /// True when there are no strings.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
-    }
-
-    /// Appends the table: count followed by length-prefixed strings in id
-    /// order.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.strings.len() as u64);
-        for s in &self.strings {
-            put_str(buf, s);
-        }
-    }
-
-    /// Reads a table written by [`StringTable::encode`].
-    pub fn decode(buf: &mut &[u8]) -> Result<StringTable, CodecError> {
-        let mut table = StringTable::default();
-        table.decode_append(buf)?;
-        Ok(table)
-    }
-
-    /// Appends only the strings interned since `mark` (a prior
-    /// [`len`](StringTable::len) value): count followed by length-prefixed
-    /// strings in id order. Sequential spill files use this to carry one
-    /// file-scoped table as per-block deltas, so a string repeated across
-    /// blocks is written once.
-    pub fn encode_from(&self, mark: usize, buf: &mut Vec<u8>) {
-        put_varint(buf, (self.strings.len() - mark) as u64);
-        for s in &self.strings[mark..] {
-            put_str(buf, s);
-        }
-    }
-
-    /// Reads a table or delta written by [`StringTable::encode`] /
-    /// [`StringTable::encode_from`], appending the entries to this table.
-    /// Ids line up with the encoder's as long as deltas are applied in
-    /// file order.
-    pub fn decode_append(&mut self, buf: &mut &[u8]) -> Result<(), CodecError> {
-        let len = get_varint(buf)? as usize;
-        if buf.len() < len {
-            return err("truncated string table");
-        }
-        for _ in 0..len {
-            let s = get_str(buf)?;
-            self.intern(&s);
-        }
-        Ok(())
     }
 }
 
@@ -564,11 +577,11 @@ fn put_item_body(buf: &mut Vec<u8>, table: &mut StringTable, item: &DataItem) {
 }
 
 /// Reads a [`Value`] written by [`put_value`].
-pub fn get_value(buf: &mut &[u8], table: &StringTable) -> Result<Value, CodecError> {
+pub fn get_value(buf: &mut &[u8], table: &StringDict) -> Result<Value, CodecError> {
     get_value_at(buf, table, 0)
 }
 
-fn get_value_at(buf: &mut &[u8], table: &StringTable, depth: usize) -> Result<Value, CodecError> {
+fn get_value_at(buf: &mut &[u8], table: &StringDict, depth: usize) -> Result<Value, CodecError> {
     if depth > MAX_DEPTH {
         return err("value nesting too deep");
     }
@@ -601,7 +614,7 @@ fn get_value_at(buf: &mut &[u8], table: &StringTable, depth: usize) -> Result<Va
 
 fn get_item_body(
     buf: &mut &[u8],
-    table: &StringTable,
+    table: &StringDict,
     depth: usize,
 ) -> Result<DataItem, CodecError> {
     let len = get_varint(buf)? as usize;
@@ -614,7 +627,34 @@ fn get_item_body(
         let value = get_value_at(buf, table, depth + 1)?;
         parts.push((label, value));
     }
+    // `from_parts` trusts its caller with unique labels; bytes with a valid
+    // checksum can still repeat one, so an item that does is malformed.
+    if let Some(label) = repeated_label(&parts) {
+        return err(format!("duplicate attribute `{label}` in item"));
+    }
     Ok(DataItem::from_parts(parts))
+}
+
+/// The first label of `parts` that an earlier part already carries.
+/// Decoded labels are interned, so equal names share one allocation and
+/// the check compares addresses: a 256-bit filter of address hashes clears
+/// nearly every label of a wide item in one probe, and only a filter hit
+/// scans the labels before it.
+fn repeated_label(parts: &[(Label, Value)]) -> Option<&Label> {
+    let mut seen = [0u64; 4];
+    for (i, (label, _)) in parts.iter().enumerate() {
+        let h = (arc_addr(label.as_arc()) as u64).wrapping_mul(FX_SEED) >> 56;
+        let (word, bit) = ((h >> 6) as usize, 1u64 << (h & 63));
+        if seen[word] & bit != 0
+            && parts[..i]
+                .iter()
+                .any(|(l, _)| Arc::ptr_eq(l.as_arc(), label.as_arc()))
+        {
+            return Some(label);
+        }
+        seen[word] |= bit;
+    }
+    None
 }
 
 /// Appends a top-level [`DataItem`].
@@ -623,7 +663,7 @@ pub fn put_item(buf: &mut Vec<u8>, table: &mut StringTable, item: &DataItem) {
 }
 
 /// Reads a top-level [`DataItem`] written by [`put_item`].
-pub fn get_item(buf: &mut &[u8], table: &StringTable) -> Result<DataItem, CodecError> {
+pub fn get_item(buf: &mut &[u8], table: &StringDict) -> Result<DataItem, CodecError> {
     get_item_body(buf, table, 0)
 }
 
@@ -801,10 +841,93 @@ mod tests {
         let mut buf = Vec::new();
         t.encode(&mut buf);
         let mut cur = buf.as_slice();
-        let d = StringTable::decode(&mut cur).unwrap();
+        let d = StringDict::decode(&mut cur).unwrap();
         assert_eq!(d.get(0).unwrap().as_ref(), "alpha");
         assert_eq!(d.get(1).unwrap().as_ref(), "beta");
         assert!(d.get(2).is_err());
+    }
+
+    /// Ids are positions: a table that stores a string twice (no encoder
+    /// writes one, but the bytes are well formed) keeps both entries, so
+    /// id `k` is still the `k`-th stored string and no later id shifts.
+    #[test]
+    fn dict_ids_are_positions_even_for_duplicate_strings() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 4);
+        for s in ["a", "a", "b", "a"] {
+            put_str(&mut buf, s);
+        }
+        let mut cur = buf.as_slice();
+        let d = StringDict::decode(&mut cur).unwrap();
+        assert!(cur.is_empty());
+        assert_eq!(d.len(), 4);
+        let got: Vec<&str> = (0..4).map(|k| d.get(k).unwrap().as_ref()).collect();
+        assert_eq!(got, ["a", "a", "b", "a"]);
+        assert_eq!(d.label(2).unwrap(), "b");
+        assert!(d.get(4).is_err() && d.label(4).is_err());
+        // A delta appends after the existing positions.
+        let mut delta = Vec::new();
+        put_varint(&mut delta, 1);
+        put_str(&mut delta, "b");
+        let mut d = d;
+        d.decode_append(&mut delta.as_slice()).unwrap();
+        assert_eq!(d.get(4).unwrap().as_ref(), "b");
+        assert_eq!(d.label(4).unwrap(), d.label(2).unwrap());
+    }
+
+    #[test]
+    fn dict_decode_is_total() {
+        // Count beyond the input, truncated string, invalid UTF-8.
+        for bytes in [&[9u8, 1, b'a'][..], &[1, 5, b'a'], &[1, 1, 0xff]] {
+            assert!(StringDict::decode(&mut &bytes[..]).is_err(), "{bytes:?}");
+        }
+    }
+
+    /// An item that repeats an attribute is rejected with a typed error,
+    /// whether it names one string id twice or two ids holding one name.
+    #[test]
+    fn item_repeating_an_attribute_is_a_codec_error() {
+        let mut table = Vec::new();
+        put_varint(&mut table, 3);
+        for s in ["a", "b", "a"] {
+            put_str(&mut table, s);
+        }
+        let dict = StringDict::decode(&mut table.as_slice()).unwrap();
+        let item = |ids: &[u64]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, ids.len() as u64);
+            for &id in ids {
+                put_varint(&mut buf, id);
+                buf.push(VAL_NULL);
+            }
+            buf
+        };
+        assert_eq!(get_item(&mut &item(&[0, 1])[..], &dict).unwrap().len(), 2);
+        for ids in [&[0, 0][..], &[0, 2], &[1, 0, 2], &[0, 1, 1]] {
+            let e = get_item(&mut &item(ids)[..], &dict).unwrap_err();
+            assert!(e.0.starts_with("duplicate attribute `"), "{ids:?}: {e}");
+        }
+        // Nested items are checked too.
+        let mut nested = vec![1];
+        put_varint(&mut nested, 1);
+        nested.push(VAL_ITEM);
+        nested.extend(item(&[2, 0]));
+        assert!(get_item(&mut &nested[..], &dict).is_err());
+        // Wide items: every distinct label passes, one repeat anywhere fails.
+        let mut wide = Vec::new();
+        let names: Vec<String> = (0..300).map(|i| format!("attr{i}")).collect();
+        put_varint(&mut wide, names.len() as u64);
+        for n in &names {
+            put_str(&mut wide, n);
+        }
+        let dict = StringDict::decode(&mut wide.as_slice()).unwrap();
+        let all: Vec<u64> = (0..300).collect();
+        assert_eq!(get_item(&mut &item(&all)[..], &dict).unwrap().len(), 300);
+        for (at, dup) in [(299, 0), (150, 149), (1, 0)] {
+            let mut ids = all.clone();
+            ids[at] = dup;
+            assert!(get_item(&mut &item(&ids)[..], &dict).is_err(), "{at}");
+        }
     }
 
     #[test]
@@ -831,18 +954,20 @@ mod tests {
         let mut tbuf = Vec::new();
         table.encode(&mut tbuf);
         let mut tcur = tbuf.as_slice();
-        let dtable = StringTable::decode(&mut tcur).unwrap();
+        let dtable = StringDict::decode(&mut tcur).unwrap();
         let mut cur = buf.as_slice();
         let back = get_item(&mut cur, &dtable).unwrap();
         assert!(cur.is_empty());
         assert_eq!(back, item);
+        // The encoder's own table decodes the same bytes.
+        assert_eq!(get_item(&mut buf.as_slice(), &table).unwrap(), item);
         // "name" is interned once even though it appears twice.
         assert_eq!(table.len(), 7);
     }
 
     #[test]
     fn value_decoder_is_total() {
-        let table = StringTable::new();
+        let table = StringDict::default();
         // Unknown tag.
         let mut cur: &[u8] = &[200];
         assert!(get_value(&mut cur, &table).is_err());

@@ -16,7 +16,8 @@ use pebble_core::{
 };
 use pebble_dataflow::{EngineError, ItemId, OpId, Row};
 use pebble_nested::encode::{
-    get_signed, get_str, get_u8, get_varint, put_signed, put_str, put_varint, StringTable,
+    get_signed, get_str, get_u8, get_varint, put_signed, put_str, put_varint, StringDict,
+    StringTable,
 };
 use pebble_nested::{DataType, Path};
 
@@ -588,7 +589,7 @@ fn decode_rows(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
         return Err(StoreError::Corrupt("duplicate row block".into()));
     }
     let buf = &mut payload;
-    let table = StringTable::decode(buf)?;
+    let dict = StringDict::decode(buf)?;
     let n = get_varint(buf)? as usize;
     if buf.len() < n {
         return Err(StoreError::Truncated("row block".into()));
@@ -597,7 +598,7 @@ fn decode_rows(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
     let mut prev_id = 0u64;
     for _ in 0..n {
         prev_id = prev_id.wrapping_add(get_signed(buf)? as u64);
-        let item = pebble_nested::encode::get_item(buf, &table)?;
+        let item = pebble_nested::encode::get_item(buf, &dict)?;
         rows.push(Row {
             id: prev_id as ItemId,
             item,

@@ -2,8 +2,12 @@
 //! input, and every rejection must be one of the typed, `Display`-stable
 //! [`StoreError`] forms of the PR 4 error contract.
 
+use std::collections::BTreeMap;
+
 use pebble_core::run_captured;
 use pebble_dataflow::ExecConfig;
+use pebble_nested::encode::{put_signed, put_str, put_varint};
+use pebble_serve::segment::{frame_block, segment_header, BLOCK_END, BLOCK_ROWS};
 use pebble_serve::{persist, ProvStore, StoreError};
 use pebble_workloads::running_example;
 use rand::rngs::StdRng;
@@ -144,4 +148,147 @@ fn specific_damage_yields_specific_errors() {
         err.to_string(),
         "corrupt segment: trailing bytes after end-of-segment block"
     );
+}
+
+/// The `(type, payload)` blocks of a well-formed segment, END excluded.
+fn blocks(segment: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut rest = &segment[6..];
+    while let Some((&ty, tail)) = rest.split_first() {
+        let len = u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize;
+        if ty != BLOCK_END {
+            out.push((ty, tail[4..4 + len].to_vec()));
+        }
+        rest = &tail[4 + len + 4..];
+    }
+    out
+}
+
+/// A segment of `blocks`, each framed with its length and a fresh CRC.
+fn seal(blocks: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let mut out = segment_header();
+    for (ty, payload) in blocks {
+        frame_block(&mut out, *ty, payload);
+    }
+    frame_block(&mut out, BLOCK_END, &[]);
+    out
+}
+
+/// The error class of a rejection: its `Display` text up to the first
+/// detail (`corrupt segment: unknown value tag 9` → `corrupt segment`).
+fn class(e: &StoreError) -> String {
+    let s = e.to_string();
+    s.split(':').next().unwrap_or(&s).to_string()
+}
+
+/// Damage inside one block's payload with the block resealed: the CRC and
+/// length are right again, so the bytes reach the payload decoders (the
+/// string table, `ROWS`, `ASSOC`, `INDEX`, …) instead of stopping at the
+/// checksum.
+#[test]
+fn resealed_payload_corruption_is_typed() {
+    let base = blocks(&base_segment());
+    assert_eq!(ProvStore::from_bytes(&seal(&base)).unwrap().rows().len(), 3);
+    let mut types: Vec<u8> = base.iter().map(|(ty, _)| *ty).collect();
+    types.sort_unstable();
+    types.dedup();
+    let mut rng = StdRng::seed_from_u64(0x5ea1ed);
+    let mut loaded = 0;
+    let mut classes: BTreeMap<String, usize> = BTreeMap::new();
+    let mut per_block: BTreeMap<u8, usize> = BTreeMap::new();
+    for case in 0..1500 {
+        let mut mutated = base.clone();
+        // A block type first, then one block of it: a run has one `ASSOC`
+        // chunk per operator, and the other decoders deserve equal weight.
+        let ty = types[rng.gen_range(0..types.len())];
+        let of_type: Vec<usize> = (0..base.len()).filter(|&b| base[b].0 == ty).collect();
+        let b = of_type[rng.gen_range(0..of_type.len())];
+        let (ty, payload) = &mut mutated[b];
+        *per_block.entry(*ty).or_default() += 1;
+        let len = payload.len();
+        match case % 5 {
+            0 if len > 0 => {
+                let i = rng.gen_range(0..len);
+                payload[i] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+            1 if len > 0 => {
+                let i = rng.gen_range(0..len);
+                payload[i] = rng.gen_range(0..=255u32) as u8;
+            }
+            2 if len > 0 => {
+                let i = rng.gen_range(0..len);
+                for byte in payload.iter_mut().skip(i).take(4) {
+                    *byte = rng.gen_range(0..=255u32) as u8;
+                }
+            }
+            3 => payload.truncate(rng.gen_range(0..=len)),
+            _ => {
+                let i = rng.gen_range(0..=len);
+                let n = rng.gen_range(1..8usize);
+                let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+                payload.splice(i..i, junk);
+            }
+        }
+        match ProvStore::from_bytes(&seal(&mutated)) {
+            Ok(_) => loaded += 1,
+            Err(e) => {
+                assert!(is_typed_rejection(&e), "case {case}: untyped error: {e}");
+                *classes.entry(class(&e)).or_default() += 1;
+            }
+        }
+    }
+    eprintln!("resealed segment mutations: {loaded} load, rejected {classes:?}, by block type {per_block:?}");
+    // The damage reaches the decoders: most cases are rejected there, not
+    // at the frame.
+    assert!(
+        classes.get("corrupt segment").copied().unwrap_or(0) > 500,
+        "{classes:?}"
+    );
+}
+
+/// A `ROWS` block whose item repeats an attribute is well framed but
+/// malformed: the decoder rejects it with a typed error instead of
+/// building an item that breaks the unique-label invariant.
+#[test]
+fn rows_block_repeating_an_attribute_is_corrupt() {
+    let base = blocks(&base_segment());
+    let rows_at = base.iter().position(|(ty, _)| *ty == BLOCK_ROWS).unwrap();
+    // One row over the string table `strings`, whose item holds a null
+    // under each label id of `labels`.
+    let rows_block = |strings: &[&str], labels: &[u64]| {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, strings.len() as u64);
+        for s in strings {
+            put_str(&mut payload, s);
+        }
+        put_varint(&mut payload, 1);
+        put_signed(&mut payload, 7);
+        put_varint(&mut payload, labels.len() as u64);
+        for &id in labels {
+            put_varint(&mut payload, id);
+            payload.push(0); // null
+        }
+        let mut segment = base.clone();
+        segment[rows_at].1 = payload;
+        seal(&segment)
+    };
+    // The same block with distinct labels decodes (and then fails the row
+    // count, which the meta block declares as 3).
+    let err = ProvStore::from_bytes(&rows_block(&["a", "b"], &[0, 1])).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "corrupt segment: row block has 1 rows, meta declares 3"
+    );
+    // One id twice, and one name at two dictionary positions.
+    for (strings, labels) in [
+        (&["a", "b"][..], &[0, 0][..]),
+        (&["a", "b", "a"], &[0, 1, 2]),
+    ] {
+        let err = ProvStore::from_bytes(&rows_block(strings, labels)).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Corrupt("duplicate attribute `a` in item".into()),
+            "{strings:?} {labels:?}"
+        );
+    }
 }
