@@ -192,99 +192,131 @@ impl ProvView for CapturedRun {
     }
 }
 
-/// Pre-built per-operator hash indexes over the identifier association
-/// tables. Building them is linear in the provenance size; reusing one
-/// index across many provenance questions amortizes that cost (the
-/// "optimize provenance querying" direction the paper names as future
-/// work — benchmarked in `ablations`).
+/// How Algs. 1–4 probe the identifier association tables: the tables are
+/// the index. A table whose output ids ascend strictly (every table the
+/// engine writes) is binary-searched in place; only one that does not keeps
+/// a permutation to search through. Probes read the tables of the
+/// [`ProvView`] they are handed, so an index never answers from another run,
+/// and one that does not fit the view's tables is a typed error.
 pub struct BacktraceIndex {
-    per_op: Vec<OpIndex>,
+    /// Per operator: `None` when its table ascends strictly, else its table
+    /// positions by ascending output id — a permutation (`from_sorted`
+    /// checks, `build_ops` sorts), so one of the table's length stays in it.
+    orders: Vec<Option<Vec<u32>>>,
 }
 
-/// Binary association entry: `(left input, right input)`.
-type BinaryEntry = (Option<ItemId>, Option<ItemId>);
-
-enum OpIndex {
-    /// id → dataset position.
-    Read(FxHashMap<ItemId, usize>),
-    /// output id → input id.
-    Unary(FxHashMap<ItemId, ItemId>),
-    /// output id → (left input, right input).
-    Binary(FxHashMap<ItemId, BinaryEntry>),
-    /// output id → (input id, element position).
-    Flatten(FxHashMap<ItemId, (ItemId, u32)>),
-    /// output id → group member ids in nesting order.
-    Agg(FxHashMap<ItemId, Vec<ItemId>>),
-    /// Prepared variants: entries sorted by output id, probed by binary
-    /// search. Reconstructed from persisted sort permutations, avoiding
-    /// the hash-build cost at cold open.
-    SortedRead(Vec<(ItemId, usize)>),
-    /// Sorted `output id → input id`.
-    SortedUnary(Vec<(ItemId, ItemId)>),
-    /// Sorted `output id → (left input, right input)`.
-    SortedBinary(Vec<(ItemId, BinaryEntry)>),
-    /// Sorted `output id → (input id, element position)`.
-    SortedFlatten(Vec<(ItemId, (ItemId, u32))>),
-    /// Sorted `output id → group member ids`.
-    SortedAgg(Vec<(ItemId, Vec<ItemId>)>),
+/// A probe over one operator's association table, borrowed from the view:
+/// `pick` projects an entry to its `(output id, payload)`.
+struct Lookup<'a, T, P> {
+    table: &'a [T],
+    order: Option<&'a [u32]>,
+    pick: P,
 }
 
-/// A probe handle over either index representation. Output identifiers are
-/// unique per operator (each output row carries exactly one id), so hash
-/// lookup and binary search return identical answers.
-enum Lookup<'a, V> {
-    Map(&'a FxHashMap<ItemId, V>),
-    Sorted(&'a [(ItemId, V)]),
-}
-
-impl<'a, V> Lookup<'a, V> {
-    fn get(&self, id: &ItemId) -> Option<&'a V> {
-        match self {
-            Lookup::Map(m) => m.get(id),
-            Lookup::Sorted(s) => s.binary_search_by_key(id, |e| e.0).ok().map(|i| &s[i].1),
-        }
+impl<'a, T, V, P: Fn(&'a T) -> (ItemId, V)> Lookup<'a, T, P> {
+    /// The table position of the entry with output id `id`, and its payload.
+    fn get(&self, id: ItemId) -> Option<(usize, V)> {
+        let out_id = |at: usize| (self.pick)(&self.table[at]).0;
+        let at = match self.order {
+            None => position_of(self.table.len(), id, out_id)?,
+            Some(order) => {
+                let j = order.partition_point(|&p| out_id(p as usize) <= id);
+                order[j.checked_sub(1)?] as usize
+            }
+        };
+        let (out, payload) = (self.pick)(&self.table[at]);
+        (out == id).then_some((at, payload))
     }
 }
 
-/// A prepared-index permutation that does not describe its association
-/// table.
+/// The position of `id` among `n` keys that ascend strictly. Keys are
+/// distinct integers, so `id` lies at most `id - key(lo)` positions after
+/// `lo` and at most `key(hi - 1) - id` before `hi - 1`. The engine numbers
+/// a table's outputs consecutively per partition, so these bounds usually
+/// pin the position at once; a round in which neither bound narrows the
+/// range bisects it instead.
+fn position_of(n: usize, id: ItemId, key: impl Fn(usize) -> ItemId) -> Option<usize> {
+    // The position, if any, lies in `lo..hi`.
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let first = key(lo);
+        if id <= first {
+            return (id == first).then_some(lo);
+        }
+        let mut narrowed = id - first < (hi - lo) as u64;
+        if narrowed {
+            hi = lo + (id - first) as usize + 1;
+        }
+        lo += 1;
+        if lo == hi {
+            return None;
+        }
+        let last = key(hi - 1);
+        if id >= last {
+            return (id == last).then_some(hi - 1);
+        }
+        if last - id < (hi - lo) as u64 {
+            lo = hi - 1 - (last - id) as usize;
+            narrowed = true;
+        }
+        hi -= 1;
+        if !narrowed && lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if key(mid) <= id {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
+    None
+}
+
+/// An index order that does not describe its association table.
 fn perm_error(oid: OpId, detail: &str) -> EngineError {
     EngineError::BacktraceError(format!("prepared index for operator #{oid} {detail}"))
 }
 
-/// Checks a prepared entry list is strictly ascending by output id (which,
-/// together with the length check, proves the permutation is a bijection —
-/// output ids are unique).
-fn check_sorted<V>(oid: OpId, entries: &[(ItemId, V)]) -> Result<()> {
-    if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return Err(perm_error(oid, "is not sorted by output identifier"));
+/// Checks that `table` ascends strictly by output id through `order` (in
+/// table order when `None`), which with the length and range checks proves
+/// the order a bijection; the error says what is wrong with the order.
+fn check_order<T>(
+    table: &[T],
+    order: Option<&[u32]>,
+    out_id: impl Fn(&T) -> ItemId,
+) -> std::result::Result<(), &'static str> {
+    let ascends = match order {
+        None => table.windows(2).all(|w| out_id(&w[0]) < out_id(&w[1])),
+        Some(order) => {
+            if order.len() != table.len() {
+                return Err("does not cover its association table");
+            }
+            if order.iter().any(|&p| p as usize >= table.len()) {
+                return Err("references an out-of-range position");
+            }
+            order
+                .windows(2)
+                .all(|w| out_id(&table[w[0] as usize]) < out_id(&table[w[1] as usize]))
+        }
+    };
+    if !ascends {
+        return Err("is not sorted by output identifier");
     }
     Ok(())
 }
 
-/// Applies a persisted permutation to an association table, producing the
-/// sorted entry list. `pick` projects one association entry to its
-/// `(output id, payload)` pair.
-fn apply_perm<T, V>(
-    oid: OpId,
-    table: &[T],
-    perm: &[u32],
-    pick: impl Fn(&T) -> (ItemId, V),
-) -> Result<Vec<(ItemId, V)>> {
-    if perm.len() != table.len() {
-        return Err(perm_error(oid, "does not cover its association table"));
+/// [`check_order`] over an operator's table, whatever its kind.
+fn check_op_order(
+    op: &OperatorProvenance,
+    order: Option<&[u32]>,
+) -> std::result::Result<(), &'static str> {
+    match &op.assoc {
+        ProvAssoc::Read(v) => check_order(v, order, |&id| id),
+        ProvAssoc::Unary(v) => check_order(v, order, |e| e.1),
+        ProvAssoc::Binary(v) => check_order(v, order, |e| e.2),
+        ProvAssoc::Flatten(v) => check_order(v, order, |e| e.2),
+        ProvAssoc::Agg(v) => check_order(v, order, |e| e.1),
     }
-    let entries = perm
-        .iter()
-        .map(|&p| {
-            table
-                .get(p as usize)
-                .map(&pick)
-                .ok_or_else(|| perm_error(oid, "references an out-of-range position"))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    check_sorted(oid, &entries)?;
-    Ok(entries)
 }
 
 impl BacktraceIndex {
@@ -296,27 +328,17 @@ impl BacktraceIndex {
         Self::build_ops(&run.ops)
     }
 
-    /// Builds the hash index over bare association tables (what
-    /// [`BacktraceIndex::build`] does under the hood; also the path a
-    /// loaded store without persisted permutations takes).
+    /// Builds the index over bare association tables: a sortedness scan per
+    /// table, and a sort only for one that does not ascend strictly (also
+    /// the path of a loaded store without persisted orders).
     pub fn build_ops(ops: &[OperatorProvenance]) -> Self {
         let start = pebble_obs::metrics_enabled().then(std::time::Instant::now);
-        let per_op = ops
+        let orders = ops
             .iter()
-            .map(|op| match &op.assoc {
-                ProvAssoc::Read(ids) => {
-                    OpIndex::Read(ids.iter().enumerate().map(|(i, &id)| (id, i)).collect())
-                }
-                ProvAssoc::Unary(v) => OpIndex::Unary(v.iter().map(|&(i, o)| (o, i)).collect()),
-                ProvAssoc::Binary(v) => {
-                    OpIndex::Binary(v.iter().map(|&(l, r, o)| (o, (l, r))).collect())
-                }
-                ProvAssoc::Flatten(v) => {
-                    OpIndex::Flatten(v.iter().map(|&(i, pos, o)| (o, (i, pos))).collect())
-                }
-                ProvAssoc::Agg(v) => {
-                    OpIndex::Agg(v.iter().map(|(ids, o)| (*o, ids.clone())).collect())
-                }
+            .map(|op| {
+                check_op_order(op, None)
+                    .is_err()
+                    .then(|| Self::permutation(op))
             })
             .collect();
         if let Some(start) = start {
@@ -324,83 +346,37 @@ impl BacktraceIndex {
                 .backtrace_build_ns
                 .record(start.elapsed().as_nanos() as u64);
         }
-        BacktraceIndex { per_op }
+        BacktraceIndex { orders }
     }
 
-    /// Reconstructs a prepared (binary-search) index from persisted sort
-    /// permutations — `perms[oid]` lists the association-table positions of
-    /// operator `oid` in ascending output-id order, as produced by
-    /// [`BacktraceIndex::permutation`].
-    ///
-    /// Fails with a typed [`EngineError::BacktraceError`] when a
-    /// permutation does not describe its table (wrong length, out-of-range
-    /// position, not sorted) — loaded data is never trusted blindly.
-    pub fn from_sorted(ops: &[OperatorProvenance], perms: &[Vec<u32>]) -> Result<Self> {
-        if perms.len() != ops.len() {
+    /// Reconstructs the index from persisted orders: `orders[oid]` is `None`
+    /// when operator `oid`'s table ascends strictly (checked by a scan, with
+    /// no copy), else [`BacktraceIndex::permutation`] of it. Fails with a
+    /// typed [`EngineError::BacktraceError`] when an order does not describe
+    /// its table (wrong length, out-of-range position, not sorted).
+    pub fn from_sorted(ops: &[OperatorProvenance], orders: Vec<Option<Vec<u32>>>) -> Result<Self> {
+        if orders.len() != ops.len() {
             return Err(EngineError::BacktraceError(format!(
                 "prepared index has {} permutations for {} operators",
-                perms.len(),
+                orders.len(),
                 ops.len()
             )));
         }
         let start = pebble_obs::metrics_enabled().then(std::time::Instant::now);
-        let per_op = ops
-            .iter()
-            .zip(perms)
-            .map(|(op, perm)| {
-                let oid = op.oid;
-                Ok(match &op.assoc {
-                    ProvAssoc::Read(ids) => OpIndex::SortedRead(apply_perm(
-                        oid,
-                        ids,
-                        perm,
-                        |&id| (id, 0usize), // position patched below
-                    )?),
-                    ProvAssoc::Unary(v) => {
-                        OpIndex::SortedUnary(apply_perm(oid, v, perm, |&(i, o)| (o, i))?)
-                    }
-                    ProvAssoc::Binary(v) => {
-                        OpIndex::SortedBinary(apply_perm(oid, v, perm, |&(l, r, o)| (o, (l, r)))?)
-                    }
-                    ProvAssoc::Flatten(v) => {
-                        OpIndex::SortedFlatten(apply_perm(oid, v, perm, |&(i, pos, o)| {
-                            (o, (i, pos))
-                        })?)
-                    }
-                    ProvAssoc::Agg(v) => {
-                        OpIndex::SortedAgg(apply_perm(oid, v, perm, |(ids, o)| (*o, ids.clone()))?)
-                    }
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        // Read entries map to *dataset positions*, which are the
-        // permutation values themselves.
-        let per_op = per_op
-            .into_iter()
-            .zip(perms)
-            .map(|(idx, perm)| match idx {
-                OpIndex::SortedRead(entries) => OpIndex::SortedRead(
-                    entries
-                        .into_iter()
-                        .zip(perm)
-                        .map(|((id, _), &p)| (id, p as usize))
-                        .collect(),
-                ),
-                other => other,
-            })
-            .collect();
+        for (op, order) in ops.iter().zip(&orders) {
+            check_op_order(op, order.as_deref()).map_err(|detail| perm_error(op.oid, detail))?;
+        }
         if let Some(start) = start {
             pebble_obs::global()
                 .backtrace_build_ns
                 .record(start.elapsed().as_nanos() as u64);
         }
-        Ok(BacktraceIndex { per_op })
+        Ok(BacktraceIndex { orders })
     }
 
     /// The sort permutation of one operator's association table: positions
-    /// ordered by ascending output id. This is what `pebble-serve`
-    /// persists so cold open can rebuild the prepared index with
-    /// [`BacktraceIndex::from_sorted`] instead of re-hashing.
+    /// ordered by ascending output id, which `pebble-serve` persists so cold
+    /// open can rebuild the index with [`BacktraceIndex::from_sorted`].
     pub fn permutation(op: &OperatorProvenance) -> Vec<u32> {
         let keys: Vec<ItemId> = match &op.assoc {
             ProvAssoc::Read(ids) => ids.clone(),
@@ -414,44 +390,28 @@ impl BacktraceIndex {
         perm
     }
 
-    fn unary(&self, oid: OpId) -> Result<Lookup<'_, ItemId>> {
-        match &self.per_op[oid as usize] {
-            OpIndex::Unary(m) => Ok(Lookup::Map(m)),
-            OpIndex::SortedUnary(v) => Ok(Lookup::Sorted(v)),
-            _ => Err(shape_error(oid, "a unary")),
+    /// A probe over `table`, operator `oid`'s association table in the
+    /// view; an error when this index has no order for it that fits.
+    fn lookup<'a, T, V, P: Fn(&'a T) -> (ItemId, V)>(
+        &'a self,
+        oid: OpId,
+        table: &'a [T],
+        pick: P,
+    ) -> Result<Lookup<'a, T, P>> {
+        let order = self.orders.get(oid as usize).ok_or_else(|| {
+            EngineError::BacktraceError(format!(
+                "prepared index covers {} operators, not operator #{oid}",
+                self.orders.len()
+            ))
+        })?;
+        if order.as_ref().is_some_and(|o| o.len() != table.len()) {
+            return Err(perm_error(oid, "does not cover its association table"));
         }
-    }
-
-    fn binary(&self, oid: OpId) -> Result<Lookup<'_, BinaryEntry>> {
-        match &self.per_op[oid as usize] {
-            OpIndex::Binary(m) => Ok(Lookup::Map(m)),
-            OpIndex::SortedBinary(v) => Ok(Lookup::Sorted(v)),
-            _ => Err(shape_error(oid, "a binary")),
-        }
-    }
-
-    fn flatten(&self, oid: OpId) -> Result<Lookup<'_, (ItemId, u32)>> {
-        match &self.per_op[oid as usize] {
-            OpIndex::Flatten(m) => Ok(Lookup::Map(m)),
-            OpIndex::SortedFlatten(v) => Ok(Lookup::Sorted(v)),
-            _ => Err(shape_error(oid, "a flatten")),
-        }
-    }
-
-    fn agg(&self, oid: OpId) -> Result<Lookup<'_, Vec<ItemId>>> {
-        match &self.per_op[oid as usize] {
-            OpIndex::Agg(m) => Ok(Lookup::Map(m)),
-            OpIndex::SortedAgg(v) => Ok(Lookup::Sorted(v)),
-            _ => Err(shape_error(oid, "an aggregation")),
-        }
-    }
-
-    fn read(&self, oid: OpId) -> Result<Lookup<'_, usize>> {
-        match &self.per_op[oid as usize] {
-            OpIndex::Read(m) => Ok(Lookup::Map(m)),
-            OpIndex::SortedRead(v) => Ok(Lookup::Sorted(v)),
-            _ => Err(shape_error(oid, "a read")),
-        }
+        Ok(Lookup {
+            table,
+            order: order.as_deref(),
+            pick,
+        })
     }
 }
 
@@ -712,13 +672,16 @@ fn backtrace_probe<V: ProvView + ?Sized>(
                 *tree = walk.trees.share(tree);
             }
         }
-        let index_of = index.read(read_op)?;
+        let ProvAssoc::Read(ids) = &view.prov_op(read_op).assoc else {
+            return Err(shape_error(read_op, "a read"));
+        };
+        let index_of = index.lookup(read_op, ids, |&id| (id, ()))?;
         let source = view.read_source(read_op)?;
         let entries = b
             .entries
             .into_iter()
             .map(|(id, tree)| {
-                let index = index_of.get(&id).copied().ok_or_else(|| {
+                let (index, ()) = index_of.get(id).ok_or_else(|| {
                     EngineError::BacktraceError(format!(
                         "identifier {id:#x} is not in read operator #{read_op}'s associations"
                     ))
@@ -831,7 +794,10 @@ fn backtrace_generic<V: ProvView + ?Sized>(
     mut b: Backtrace,
     walk: &mut Walk,
 ) -> Result<Backtrace> {
-    let to_input = index.unary(p.oid)?;
+    let ProvAssoc::Unary(table) = &p.assoc else {
+        return Err(shape_error(p.oid, "a unary"));
+    };
+    let to_input = index.lookup(p.oid, table, |&(i, o)| (o, i))?;
     let input_schema = view.input_schema_of(p.oid, 0);
     // A select fully defines its output: any root attribute still
     // referencing the select's *output* schema after the rewrite (e.g. a
@@ -854,7 +820,7 @@ fn backtrace_generic<V: ProvView + ?Sized>(
         walk,
         &mut b.entries,
         true,
-        |id| to_input.get(&id).map(|&input_id| (input_id, ())),
+        |id| to_input.get(id).map(|(_, input_id)| (input_id, ())),
         |tree, ()| {
             match &p.manipulated {
                 Some(ms) => {
@@ -885,7 +851,10 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
     mut b: Backtrace,
     walk: &mut Walk,
 ) -> Result<Backtrace> {
-    let to_input = index.flatten(p.oid)?;
+    let ProvAssoc::Flatten(table) = &p.assoc else {
+        return Err(shape_error(p.oid, "a flatten"));
+    };
+    let to_input = index.lookup(p.oid, table, |&(i, pos, o)| (o, (i, pos)))?;
     let ms = p.manipulated.as_deref().ok_or_else(|| {
         EngineError::BacktraceError(format!(
             "flatten operator #{} captured no manipulations",
@@ -910,7 +879,7 @@ fn backtrace_flatten<V: ProvView + ?Sized>(
         walk,
         &mut b.entries,
         true,
-        |id| to_input.get(&id).copied(),
+        |id| to_input.get(id).map(|(_, input)| input),
         |tree, pos| {
             // Undo ⟨a_col[pos], a_new⟩, leaving a placeholder node, then
             // substitute the recorded position (mergeTrees, Alg. 2 l.2)
@@ -1037,7 +1006,10 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
     walk: &mut Walk,
 ) -> Result<Backtrace> {
     // pos_flatten (Alg. 4 l. 1): ⟨ids^i, id^o⟩ → ⟨id^i, p_P, id^o⟩.
-    let groups = index.agg(p.oid)?;
+    let ProvAssoc::Agg(table) = &p.assoc else {
+        return Err(shape_error(p.oid, "an aggregation"));
+    };
+    let groups = index.lookup(p.oid, table, |(ids, o)| (*o, ids.as_slice()))?;
     let ms = p.manipulated.as_deref().ok_or_else(|| {
         EngineError::BacktraceError(format!(
             "aggregation operator #{} captured no manipulations",
@@ -1064,7 +1036,12 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
         // One entry: every member has a position of its own, so nothing
         // repeats and nothing is memoized.
         let positional_query = step.is_positional(tree);
-        for (idx, &member_id) in groups.get(out_id).into_iter().flatten().enumerate() {
+        for (idx, &member_id) in groups
+            .get(*out_id)
+            .into_iter()
+            .flat_map(|(_, ids)| ids)
+            .enumerate()
+        {
             if let Some(t) = member(tree, idx as u32 + 1, positional_query, walk.work) {
                 out.entries.push((member_id, t));
             }
@@ -1073,7 +1050,7 @@ fn backtrace_aggregation<V: ProvView + ?Sized>(
         let mut positional: FxHashMap<TreeId, bool> = FxHashMap::default();
         let mut members: FxHashMap<(TreeId, u32), Option<ProvTree>> = FxHashMap::default();
         for (out_id, tree) in &b.entries {
-            let Some(member_ids) = groups.get(out_id) else {
+            let Some((_, member_ids)) = groups.get(*out_id) else {
                 continue;
             };
             let id = walk.trees.id(tree);
@@ -1120,7 +1097,10 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
     side: usize,
     walk: &mut Walk,
 ) -> Result<Backtrace> {
-    let assoc_index = index.binary(p.oid)?;
+    let ProvAssoc::Binary(table) = &p.assoc else {
+        return Err(shape_error(p.oid, "a binary"));
+    };
+    let assoc_index = index.lookup(p.oid, table, |&(l, r, o)| (o, (l, r)))?;
     let field_names = |idx: usize| -> Vec<&str> {
         view.input_schema_of(p.oid, idx)
             .fields()
@@ -1158,7 +1138,7 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
         &mut b.entries,
         side == 1,
         |id| {
-            let &(left, right) = assoc_index.get(&id)?;
+            let (_, (left, right)) = assoc_index.get(id)?;
             let input_id = if side == 0 { left } else { right };
             input_id.map(|input_id| (input_id, ()))
         },
@@ -1180,10 +1160,13 @@ fn backtrace_union_side(
     b: &Backtrace,
     side: usize,
 ) -> Result<Backtrace> {
-    let assoc_index = index.binary(p.oid)?;
+    let ProvAssoc::Binary(table) = &p.assoc else {
+        return Err(shape_error(p.oid, "a binary"));
+    };
+    let assoc_index = index.lookup(p.oid, table, |&(l, r, o)| (o, (l, r)))?;
     let mut out = Backtrace::new();
     for (id, tree) in &b.entries {
-        let Some(pair) = assoc_index.get(id) else {
+        let Some((_, pair)) = assoc_index.get(*id) else {
             continue;
         };
         let input_id = if side == 0 { pair.0 } else { pair.1 };

@@ -69,6 +69,25 @@ pub struct BlockIter<'a> {
     done: bool,
 }
 
+/// One framed block whose payload checksum is not verified yet.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame<'a> {
+    /// Block type.
+    pub ty: u8,
+    payload: &'a [u8],
+    crc: u32,
+}
+
+impl<'a> Frame<'a> {
+    /// The payload, once its checksum matches.
+    pub fn verify(&self) -> Result<&'a [u8], StoreError> {
+        if crc32(self.payload) != self.crc {
+            return Err(StoreError::ChecksumMismatch { block: self.ty });
+        }
+        Ok(self.payload)
+    }
+}
+
 impl<'a> BlockIter<'a> {
     /// Validates the header and positions the iterator at the first block.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StoreError> {
@@ -95,6 +114,15 @@ impl<'a> BlockIter<'a> {
     /// consumed. Trailing bytes after END are an error, as is input that
     /// ends without an END block.
     pub fn next_block(&mut self) -> Result<Option<(u8, &'a [u8])>, StoreError> {
+        self.next_frame()?
+            .map(|f| Ok((f.ty, f.verify()?)))
+            .transpose()
+    }
+
+    /// [`BlockIter::next_block`] without the payload checksum, which the
+    /// caller checks with [`Frame::verify`] before it reads the payload.
+    /// The END block is checked here: nothing follows it.
+    pub fn next_frame(&mut self) -> Result<Option<Frame<'a>>, StoreError> {
         if self.done {
             return Ok(None);
         }
@@ -111,13 +139,14 @@ impl<'a> BlockIter<'a> {
         }
         let (payload, rest) = rest.split_at(len);
         let (crc_bytes, rest) = rest.split_at(4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(payload) != stored {
-            return Err(StoreError::ChecksumMismatch { block: ty });
-        }
+        let frame = Frame {
+            ty,
+            payload,
+            crc: u32::from_le_bytes(crc_bytes.try_into().unwrap()),
+        };
         self.rest = rest;
         if ty == BLOCK_END {
-            if !payload.is_empty() {
+            if !frame.verify()?.is_empty() {
                 return Err(StoreError::Corrupt("end block carries a payload".into()));
             }
             if !self.rest.is_empty() {
@@ -128,7 +157,7 @@ impl<'a> BlockIter<'a> {
             self.done = true;
             return Ok(None);
         }
-        Ok(Some((ty, payload)))
+        Ok(Some(frame))
     }
 }
 

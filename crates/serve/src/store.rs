@@ -23,8 +23,8 @@ use pebble_nested::{DataType, Path};
 
 use crate::error::StoreError;
 use crate::segment::{
-    chunk_table, frame_block, segment_header, BlockIter, BLOCK_ASSOC, BLOCK_END, BLOCK_INDEX,
-    BLOCK_META, BLOCK_OPAUX, BLOCK_ROWS, BLOCK_SCHEMAS,
+    chunk_table, frame_block, segment_header, BlockIter, Frame, BLOCK_ASSOC, BLOCK_END,
+    BLOCK_INDEX, BLOCK_META, BLOCK_OPAUX, BLOCK_ROWS, BLOCK_SCHEMAS,
 };
 
 /// Association-table kind tag persisted in the OPAUX block, so operators
@@ -323,15 +323,28 @@ pub struct ProvStore {
     on_disk_bytes: usize,
 }
 
-struct Pending {
+/// What the helper task decodes: every block but `ROWS`, in file order.
+#[derive(Default)]
+struct Tables {
     meta: Option<(usize, OpId, usize)>,
     schemas: Option<Vec<DataType>>,
     ops: Option<Vec<OperatorProvenance>>,
     read_sources: Vec<Option<String>>,
     countstar: Vec<Vec<Path>>,
-    rows: Option<Vec<Row>>,
-    perms: Option<Vec<Vec<u32>>>,
+    orders: Option<Vec<Order>>,
+    /// The index, or why the orders do not describe the tables. It is
+    /// reported after the cross-block checks of [`finish`]; `None` while
+    /// there is no operator table to check against.
+    index: Option<Result<BacktraceIndex, StoreError>>,
 }
+
+/// One operator's `INDEX` entry: its declared length, and its positions
+/// when they are not the identity.
+type Order = (usize, Option<Vec<u32>>);
+
+/// A decode error and the position of the block that raised it, so the two
+/// open tasks can report the earliest one.
+type Located = (usize, StoreError);
 
 impl ProvStore {
     /// Loads a store from a segment file on disk (the cold-open path).
@@ -342,36 +355,50 @@ impl ProvStore {
 
     /// Decodes a store from segment bytes, validating framing, checksums,
     /// and structural invariants. Never panics on malformed input.
+    ///
+    /// The framing is walked first. Then two tasks verify and decode the
+    /// blocks, each block's checksum checked by the task that reads it: a
+    /// scoped helper thread takes every block but `ROWS`, in file order,
+    /// and validates the index orders, while the calling thread decodes
+    /// `ROWS` (both run inline on one CPU). The error reported is the one of
+    /// the earliest failing block, as a serial walk would report it; a
+    /// framing error counts at its position, and the cross-block checks
+    /// come last.
     pub fn from_bytes(bytes: &[u8]) -> Result<ProvStore, StoreError> {
         let mut it = BlockIter::parse(bytes)?;
-        let mut p = Pending {
-            meta: None,
-            schemas: None,
-            ops: None,
-            read_sources: Vec::new(),
-            countstar: Vec::new(),
-            rows: None,
-            perms: None,
+        let mut frames = Vec::new();
+        let framing = loop {
+            match it.next_frame() {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => break None,
+                Err(e) => break Some((frames.len(), e)),
+            }
         };
-        while let Some((ty, payload)) = it.next_block()? {
-            match ty {
-                BLOCK_META => decode_meta(payload, &mut p)?,
-                BLOCK_SCHEMAS => decode_schemas(payload, &mut p)?,
-                BLOCK_OPAUX => decode_opaux(payload, &mut p)?,
-                BLOCK_ASSOC => {
-                    let ops = p.ops.as_mut().ok_or_else(|| {
-                        StoreError::Corrupt("assoc chunk before operator table".into())
-                    })?;
-                    crate::segment::apply_chunk(payload, ops, bytes.len())?;
-                }
-                BLOCK_ROWS => decode_rows(payload, &mut p)?,
-                BLOCK_INDEX => decode_index(payload, &mut p)?,
-                other => {
-                    return Err(StoreError::Corrupt(format!("unknown block type {other}")));
-                }
+        let tables = || decode_tables(&frames, bytes.len());
+        let rows = || decode_rows_blocks(&frames);
+        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        // A helper thread that cannot be spawned leaves the work inline.
+        let (tables, rows) = std::thread::scope(|scope| {
+            let helper = parallel
+                .then(|| std::thread::Builder::new().spawn_scoped(scope, tables).ok())
+                .flatten();
+            let rows = rows();
+            let tables = match helper {
+                Some(helper) => helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                None => tables(),
+            };
+            (tables, rows)
+        });
+        match (tables, rows, framing) {
+            (Ok(tables), Ok(rows), None) => finish(tables, rows, bytes.len()),
+            (tables, rows, framing) => {
+                let errors = [tables.err(), rows.err(), framing].into_iter().flatten();
+                let (_, first) = errors.min_by_key(|(at, _)| *at).expect("one task failed");
+                Err(first)
             }
         }
-        finish(p, bytes.len())
     }
 
     /// The sink output rows of the persisted run, in run order.
@@ -470,7 +497,7 @@ impl ProvView for ProvStore {
     }
 }
 
-fn decode_meta(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
+fn decode_meta(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
     if p.meta.is_some() {
         return Err(StoreError::Corrupt("duplicate meta block".into()));
     }
@@ -485,7 +512,7 @@ fn decode_meta(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn decode_schemas(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
+fn decode_schemas(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
     if p.schemas.is_some() {
         return Err(StoreError::Corrupt("duplicate schema block".into()));
     }
@@ -502,7 +529,7 @@ fn decode_schemas(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError>
     Ok(())
 }
 
-fn decode_opaux(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
+fn decode_opaux(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
     if p.ops.is_some() {
         return Err(StoreError::Corrupt("duplicate operator table block".into()));
     }
@@ -584,10 +611,74 @@ fn decode_opaux(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn decode_rows(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
-    if p.rows.is_some() {
-        return Err(StoreError::Corrupt("duplicate row block".into()));
+/// The helper task: verifies and decodes every block but `ROWS` in file
+/// order, then validates the index orders against the tables.
+fn decode_tables(frames: &[Frame], max_entries: usize) -> Result<Tables, Located> {
+    let mut p = Tables::default();
+    for (at, frame) in frames.iter().enumerate() {
+        if frame.ty == BLOCK_ROWS {
+            continue;
+        }
+        decode_table_block(frame, &mut p, max_entries).map_err(|e| (at, e))?;
     }
+    p.index = p.ops.as_ref().map(|ops| match p.orders.take() {
+        Some(orders) => {
+            // An identity entry whose length is not its table's stays a
+            // permutation, so the check reports it as one.
+            let orders = orders
+                .into_iter()
+                .enumerate()
+                .map(|(i, (len, perm))| {
+                    perm.or_else(|| {
+                        (ops.get(i).map(|op| op.assoc.len()) != Some(len))
+                            .then(|| (0..len as u32).collect())
+                    })
+                })
+                .collect();
+            BacktraceIndex::from_sorted(ops, orders).map_err(|e| StoreError::Corrupt(e.to_string()))
+        }
+        None => Ok(BacktraceIndex::build_ops(ops)),
+    });
+    Ok(p)
+}
+
+fn decode_table_block(frame: &Frame, p: &mut Tables, max_entries: usize) -> Result<(), StoreError> {
+    let payload = frame.verify()?;
+    match frame.ty {
+        BLOCK_META => decode_meta(payload, p),
+        BLOCK_SCHEMAS => decode_schemas(payload, p),
+        BLOCK_OPAUX => decode_opaux(payload, p),
+        BLOCK_ASSOC => {
+            let ops = p
+                .ops
+                .as_mut()
+                .ok_or_else(|| StoreError::Corrupt("assoc chunk before operator table".into()))?;
+            crate::segment::apply_chunk(payload, ops, max_entries)
+        }
+        BLOCK_INDEX => decode_index(payload, p),
+        other => Err(StoreError::Corrupt(format!("unknown block type {other}"))),
+    }
+}
+
+/// The calling thread's task: verifies and decodes the `ROWS` block.
+fn decode_rows_blocks(frames: &[Frame]) -> Result<Option<Vec<Row>>, Located> {
+    let mut rows = None;
+    for (at, frame) in frames.iter().enumerate() {
+        if frame.ty != BLOCK_ROWS {
+            continue;
+        }
+        let decoded = frame.verify().and_then(|payload| {
+            if rows.is_some() {
+                return Err(StoreError::Corrupt("duplicate row block".into()));
+            }
+            decode_rows(payload)
+        });
+        rows = Some(decoded.map_err(|e| (at, e))?);
+    }
+    Ok(rows)
+}
+
+fn decode_rows(mut payload: &[u8]) -> Result<Vec<Row>, StoreError> {
     let buf = &mut payload;
     let dict = StringDict::decode(buf)?;
     let n = get_varint(buf)? as usize;
@@ -607,12 +698,15 @@ fn decode_rows(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
     if !buf.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in row block".into()));
     }
-    p.rows = Some(rows);
-    Ok(())
+    Ok(rows)
 }
 
-fn decode_index(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
-    if p.perms.is_some() {
+/// Decodes the `INDEX` block. An entry that lists its table's positions in
+/// order (every entry the engine's tables produce) stays a length: a
+/// permutation is materialised only from an entry's first out-of-order
+/// position.
+fn decode_index(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
+    if p.orders.is_some() {
         return Err(StoreError::Corrupt("duplicate index block".into()));
     }
     let buf = &mut payload;
@@ -620,31 +714,44 @@ fn decode_index(mut payload: &[u8], p: &mut Pending) -> Result<(), StoreError> {
     if buf.len() < n {
         return Err(StoreError::Truncated("index block".into()));
     }
-    let mut perms = Vec::with_capacity(n);
+    let mut orders = Vec::with_capacity(n);
     for _ in 0..n {
         let len = get_varint(buf)? as usize;
         if buf.len() < len {
             return Err(StoreError::Truncated("index permutation".into()));
         }
-        let mut perm = Vec::with_capacity(len);
-        for _ in 0..len {
+        let mut perm: Option<Vec<u32>> = None;
+        for j in 0..len {
             let v = get_varint(buf)?;
             if v > u32::MAX as u64 {
                 return Err(StoreError::Corrupt(
                     "index permutation entry out of range".into(),
                 ));
             }
-            perm.push(v as u32);
+            match &mut perm {
+                Some(perm) => perm.push(v as u32),
+                None if v == j as u64 => {}
+                None => {
+                    let mut positions = Vec::with_capacity(len);
+                    positions.extend(0..j as u32);
+                    positions.push(v as u32);
+                    perm = Some(positions);
+                }
+            }
         }
-        perms.push(perm);
+        orders.push((len, perm));
     }
-    p.perms = Some(perms);
+    p.orders = Some(orders);
     Ok(())
 }
 
-/// Structural validation + index construction: everything that must hold
-/// for the backtracing algorithm to run panic-free over the decoded data.
-fn finish(p: Pending, on_disk_bytes: usize) -> Result<ProvStore, StoreError> {
+/// Structural validation: everything that must hold for the backtracing
+/// algorithm to run panic-free over the decoded data.
+fn finish(
+    p: Tables,
+    rows: Option<Vec<Row>>,
+    on_disk_bytes: usize,
+) -> Result<ProvStore, StoreError> {
     let (n_ops, sink_op, n_rows) = p
         .meta
         .ok_or_else(|| StoreError::Corrupt("missing meta block".into()))?;
@@ -654,9 +761,7 @@ fn finish(p: Pending, on_disk_bytes: usize) -> Result<ProvStore, StoreError> {
     let ops = p
         .ops
         .ok_or_else(|| StoreError::Corrupt("missing operator table block".into()))?;
-    let rows = p
-        .rows
-        .ok_or_else(|| StoreError::Corrupt("missing row block".into()))?;
+    let rows = rows.ok_or_else(|| StoreError::Corrupt("missing row block".into()))?;
     if n_ops == 0 {
         return Err(StoreError::Corrupt("segment has no operators".into()));
     }
@@ -719,11 +824,8 @@ fn finish(p: Pending, on_disk_bytes: usize) -> Result<ProvStore, StoreError> {
             )));
         }
     }
-    let index = match &p.perms {
-        Some(perms) => BacktraceIndex::from_sorted(&ops, perms)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?,
-        None => BacktraceIndex::build_ops(&ops),
-    };
+    // The helper task checked the orders; their verdict comes last.
+    let index = p.index.expect("an operator table has an index verdict")?;
     Ok(ProvStore {
         sink_op,
         ops,

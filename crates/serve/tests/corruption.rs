@@ -4,23 +4,28 @@
 
 use std::collections::BTreeMap;
 
-use pebble_core::run_captured;
+use pebble_core::{run_captured, CapturedRun, ProvAssoc};
 use pebble_dataflow::ExecConfig;
 use pebble_nested::encode::{put_signed, put_str, put_varint};
-use pebble_serve::segment::{frame_block, segment_header, BLOCK_END, BLOCK_ROWS};
+use pebble_serve::segment::{
+    frame_block, segment_header, BLOCK_ASSOC, BLOCK_END, BLOCK_INDEX, BLOCK_META, BLOCK_ROWS,
+};
 use pebble_serve::{persist, ProvStore, StoreError};
 use pebble_workloads::running_example;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn base_segment() -> Vec<u8> {
-    let run = run_captured(
+fn base_run() -> CapturedRun {
+    run_captured(
         &running_example::program(),
         &running_example::context(),
         ExecConfig::with_partitions(1).workers(1),
     )
-    .unwrap();
-    persist(&run)
+    .unwrap()
+}
+
+fn base_segment() -> Vec<u8> {
+    persist(&base_run())
 }
 
 /// Every error the decoder may legally produce, by pinned `Display`
@@ -49,45 +54,54 @@ fn truncation_at_every_prefix_is_typed() {
     assert!(ProvStore::from_bytes(&bytes).is_ok());
 }
 
-#[test]
-fn random_corruption_never_panics() {
-    let bytes = base_segment();
+/// The 1 500 seeded whole-segment mutations: bit flips, byte overwrites,
+/// truncations, garbage insertions and length-field scribbles.
+fn random_mutations(bytes: &[u8]) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(0x5e9_5e9);
-    for case in 0..1500 {
-        let mut mutated = bytes.clone();
-        match case % 5 {
-            // Single bit flip.
-            0 => {
-                let i = rng.gen_range(0..mutated.len());
-                mutated[i] ^= 1u8 << rng.gen_range(0..8u32);
-            }
-            // Byte overwrite.
-            1 => {
-                let i = rng.gen_range(0..mutated.len());
-                mutated[i] = rng.gen_range(0..=255u32) as u8;
-            }
-            // Random truncation.
-            2 => {
-                let len = rng.gen_range(0..mutated.len());
-                mutated.truncate(len);
-            }
-            // Garbage insertion.
-            3 => {
-                let i = rng.gen_range(0..=mutated.len());
-                let n = rng.gen_range(1..16usize);
-                let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-                mutated.splice(i..i, junk);
-            }
-            // Length-field scribble: stomp the 4 bytes after a block tag.
-            _ => {
-                let i = rng.gen_range(6..mutated.len().saturating_sub(5).max(7));
-                for k in 0..4 {
-                    mutated[i + k] = rng.gen_range(0..=255u32) as u8;
+    (0..1500)
+        .map(|case| {
+            let mut mutated = bytes.to_vec();
+            match case % 5 {
+                // Single bit flip.
+                0 => {
+                    let i = rng.gen_range(0..mutated.len());
+                    mutated[i] ^= 1u8 << rng.gen_range(0..8u32);
+                }
+                // Byte overwrite.
+                1 => {
+                    let i = rng.gen_range(0..mutated.len());
+                    mutated[i] = rng.gen_range(0..=255u32) as u8;
+                }
+                // Random truncation.
+                2 => {
+                    let len = rng.gen_range(0..mutated.len());
+                    mutated.truncate(len);
+                }
+                // Garbage insertion.
+                3 => {
+                    let i = rng.gen_range(0..=mutated.len());
+                    let n = rng.gen_range(1..16usize);
+                    let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+                    mutated.splice(i..i, junk);
+                }
+                // Length-field scribble: stomp the 4 bytes after a block tag.
+                _ => {
+                    let i = rng.gen_range(6..mutated.len().saturating_sub(5).max(7));
+                    for k in 0..4 {
+                        mutated[i + k] = rng.gen_range(0..=255u32) as u8;
+                    }
                 }
             }
-        }
+            mutated
+        })
+        .collect()
+}
+
+#[test]
+fn random_corruption_never_panics() {
+    for (case, mutated) in random_mutations(&base_segment()).iter().enumerate() {
         // Must not panic; must either load or reject with a typed error.
-        if let Err(e) = ProvStore::from_bytes(&mutated) {
+        if let Err(e) = ProvStore::from_bytes(mutated) {
             assert!(is_typed_rejection(&e), "case {case}: untyped error: {e}");
         }
     }
@@ -184,52 +198,61 @@ fn class(e: &StoreError) -> String {
 /// Damage inside one block's payload with the block resealed: the CRC and
 /// length are right again, so the bytes reach the payload decoders (the
 /// string table, `ROWS`, `ASSOC`, `INDEX`, …) instead of stopping at the
-/// checksum.
-#[test]
-fn resealed_payload_corruption_is_typed() {
-    let base = blocks(&base_segment());
-    assert_eq!(ProvStore::from_bytes(&seal(&base)).unwrap().rows().len(), 3);
+/// checksum. Each of the 1 500 cases is the damaged block's type and the
+/// resealed segment.
+fn resealed_mutations(base: &[(u8, Vec<u8>)]) -> Vec<(u8, Vec<u8>)> {
     let mut types: Vec<u8> = base.iter().map(|(ty, _)| *ty).collect();
     types.sort_unstable();
     types.dedup();
     let mut rng = StdRng::seed_from_u64(0x5ea1ed);
+    (0..1500)
+        .map(|case| {
+            let mut mutated = base.to_vec();
+            // A block type first, then one block of it: a run has one `ASSOC`
+            // chunk per operator, and the other decoders deserve equal weight.
+            let ty = types[rng.gen_range(0..types.len())];
+            let of_type: Vec<usize> = (0..base.len()).filter(|&b| base[b].0 == ty).collect();
+            let b = of_type[rng.gen_range(0..of_type.len())];
+            let payload = &mut mutated[b].1;
+            let len = payload.len();
+            match case % 5 {
+                0 if len > 0 => {
+                    let i = rng.gen_range(0..len);
+                    payload[i] ^= 1u8 << rng.gen_range(0..8u32);
+                }
+                1 if len > 0 => {
+                    let i = rng.gen_range(0..len);
+                    payload[i] = rng.gen_range(0..=255u32) as u8;
+                }
+                2 if len > 0 => {
+                    let i = rng.gen_range(0..len);
+                    for byte in payload.iter_mut().skip(i).take(4) {
+                        *byte = rng.gen_range(0..=255u32) as u8;
+                    }
+                }
+                3 => payload.truncate(rng.gen_range(0..=len)),
+                _ => {
+                    let i = rng.gen_range(0..=len);
+                    let n = rng.gen_range(1..8usize);
+                    let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+                    payload.splice(i..i, junk);
+                }
+            }
+            (ty, seal(&mutated))
+        })
+        .collect()
+}
+
+#[test]
+fn resealed_payload_corruption_is_typed() {
+    let base = blocks(&base_segment());
+    assert_eq!(ProvStore::from_bytes(&seal(&base)).unwrap().rows().len(), 3);
     let mut loaded = 0;
     let mut classes: BTreeMap<String, usize> = BTreeMap::new();
     let mut per_block: BTreeMap<u8, usize> = BTreeMap::new();
-    for case in 0..1500 {
-        let mut mutated = base.clone();
-        // A block type first, then one block of it: a run has one `ASSOC`
-        // chunk per operator, and the other decoders deserve equal weight.
-        let ty = types[rng.gen_range(0..types.len())];
-        let of_type: Vec<usize> = (0..base.len()).filter(|&b| base[b].0 == ty).collect();
-        let b = of_type[rng.gen_range(0..of_type.len())];
-        let (ty, payload) = &mut mutated[b];
+    for (case, (ty, segment)) in resealed_mutations(&base).iter().enumerate() {
         *per_block.entry(*ty).or_default() += 1;
-        let len = payload.len();
-        match case % 5 {
-            0 if len > 0 => {
-                let i = rng.gen_range(0..len);
-                payload[i] ^= 1u8 << rng.gen_range(0..8u32);
-            }
-            1 if len > 0 => {
-                let i = rng.gen_range(0..len);
-                payload[i] = rng.gen_range(0..=255u32) as u8;
-            }
-            2 if len > 0 => {
-                let i = rng.gen_range(0..len);
-                for byte in payload.iter_mut().skip(i).take(4) {
-                    *byte = rng.gen_range(0..=255u32) as u8;
-                }
-            }
-            3 => payload.truncate(rng.gen_range(0..=len)),
-            _ => {
-                let i = rng.gen_range(0..=len);
-                let n = rng.gen_range(1..8usize);
-                let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-                payload.splice(i..i, junk);
-            }
-        }
-        match ProvStore::from_bytes(&seal(&mutated)) {
+        match ProvStore::from_bytes(segment) {
             Ok(_) => loaded += 1,
             Err(e) => {
                 assert!(is_typed_rejection(&e), "case {case}: untyped error: {e}");
@@ -244,6 +267,35 @@ fn resealed_payload_corruption_is_typed() {
         classes.get("corrupt segment").copied().unwrap_or(0) > 500,
         "{classes:?}"
     );
+}
+
+/// Which error a damaged segment reports is part of the contract, not only
+/// that it reports one: one FNV-1a digest over the outcome (`ok`, or the
+/// error's `Display`) of every prefix truncation, every seeded mutation and
+/// every resealed case. It was recorded with the serial cold open, so the
+/// two-task open reports the earliest failing block exactly as it did.
+#[test]
+fn outcomes_of_every_case_are_pinned() {
+    let bytes = base_segment();
+    let mut segments: Vec<Vec<u8>> = (0..bytes.len()).map(|len| bytes[..len].to_vec()).collect();
+    segments.extend(random_mutations(&bytes));
+    segments.extend(
+        resealed_mutations(&blocks(&bytes))
+            .into_iter()
+            .map(|(_, s)| s),
+    );
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for segment in &segments {
+        let outcome = match ProvStore::from_bytes(segment) {
+            Ok(_) => "ok".to_string(),
+            Err(e) => e.to_string(),
+        };
+        for b in outcome.bytes().chain([b'\n']) {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(segments.len(), 3000 + bytes.len());
+    assert_eq!(digest, 0x2af7_a653_6a1b_a924, "{digest:#018x}");
 }
 
 /// A `ROWS` block whose item repeats an attribute is well framed but
@@ -291,4 +343,99 @@ fn rows_block_repeating_an_attribute_is_corrupt() {
             "{strings:?} {labels:?}"
         );
     }
+}
+
+/// Where block `k` of `blocks` starts in `seal(blocks)`.
+fn block_start(blocks: &[(u8, Vec<u8>)], k: usize) -> usize {
+    6 + blocks[..k].iter().map(|(_, p)| 9 + p.len()).sum::<usize>()
+}
+
+/// `seal(blocks)` with block `k`'s stored checksum broken.
+fn seal_breaking_crc(blocks: &[(u8, Vec<u8>)], k: usize) -> Vec<u8> {
+    let mut segment = seal(blocks);
+    segment[block_start(blocks, k) + 5 + blocks[k].1.len()] ^= 0x01;
+    segment
+}
+
+/// Cold open decodes `ROWS` on one task and every other block on another;
+/// with two faults in one segment, the error reported is still the earlier
+/// block's, whichever task meets it.
+#[test]
+fn the_earlier_of_two_faults_is_reported() {
+    let base = blocks(&base_segment());
+    let at = |ty: u8| base.iter().position(|(t, _)| *t == ty).unwrap();
+    let (assoc, rows, index) = (at(BLOCK_ASSOC), at(BLOCK_ROWS), at(BLOCK_INDEX));
+    assert!(at(BLOCK_META) == 0 && assoc < rows && rows < index);
+    let open = |segment: &[u8]| ProvStore::from_bytes(segment).unwrap_err();
+    // A `ROWS` block whose string table promises five strings and holds none.
+    let mut bad_rows = base.clone();
+    bad_rows[rows].1 = vec![5];
+    let rows_error = open(&seal(&bad_rows));
+    assert_eq!(
+        rows_error,
+        StoreError::Corrupt("truncated string table".into())
+    );
+
+    // A bad `ASSOC` checksum before a corrupt `ROWS`.
+    assert_eq!(
+        open(&seal_breaking_crc(&bad_rows, assoc)),
+        StoreError::ChecksumMismatch { block: BLOCK_ASSOC }
+    );
+    // A corrupt `ROWS` before a bad `INDEX` checksum, which alone reports
+    // itself.
+    assert_eq!(open(&seal_breaking_crc(&bad_rows, index)), rows_error);
+    assert_eq!(
+        open(&seal_breaking_crc(&base, index)),
+        StoreError::ChecksumMismatch { block: BLOCK_INDEX }
+    );
+    // A bad `META` checksum before a framing error after `ROWS`: the
+    // segment ends inside `INDEX`, which alone reports its length.
+    let cut = block_start(&base, index) + 7;
+    let mut segment = seal_breaking_crc(&base, 0);
+    segment.truncate(cut);
+    assert_eq!(
+        open(&segment),
+        StoreError::ChecksumMismatch { block: BLOCK_META }
+    );
+    assert_eq!(
+        open(&seal(&base)[..cut]),
+        StoreError::BadLength { block: BLOCK_INDEX }
+    );
+}
+
+/// An `INDEX` entry may claim the identity only for a table that ascends:
+/// cold open checks the claim against the table instead of trusting it.
+#[test]
+fn identity_index_for_a_descending_table_is_corrupt() {
+    let mut run = base_run();
+    let op = run
+        .ops
+        .iter()
+        .position(|op| op.assoc.len() > 1 && !matches!(op.assoc, ProvAssoc::Read(_)))
+        .unwrap();
+    match &mut run.ops[op].assoc {
+        ProvAssoc::Unary(v) => v.reverse(),
+        ProvAssoc::Binary(v) => v.reverse(),
+        ProvAssoc::Flatten(v) => v.reverse(),
+        ProvAssoc::Agg(v) => v.reverse(),
+        ProvAssoc::Read(_) => unreachable!(),
+    }
+    let mut segment = blocks(&persist(&run));
+    assert!(ProvStore::from_bytes(&seal(&segment)).is_ok());
+    let mut identity = Vec::new();
+    put_varint(&mut identity, run.ops.len() as u64);
+    for op in &run.ops {
+        put_varint(&mut identity, op.assoc.len() as u64);
+        for j in 0..op.assoc.len() {
+            put_varint(&mut identity, j as u64);
+        }
+    }
+    let index = segment.iter().position(|(t, _)| *t == BLOCK_INDEX).unwrap();
+    segment[index].1 = identity;
+    assert_eq!(
+        ProvStore::from_bytes(&seal(&segment)).unwrap_err(),
+        StoreError::Corrupt(format!(
+            "backtrace failed: prepared index for operator #{op} is not sorted by output identifier"
+        ))
+    );
 }

@@ -6,14 +6,20 @@ use std::sync::Arc;
 
 use pebble_core::{
     backtrace, canonical_provenance, run_captured, run_captured_with, Backtrace, CapturedRun,
-    ProvTree,
+    ProvAssoc, ProvTree,
 };
 use pebble_dataflow::{Context, ExecConfig, NamedExpr, Program, ProgramBuilder};
+use pebble_nested::encode::get_varint;
 use pebble_nested::{DataItem, Path, Value};
+use pebble_serve::segment::{BlockIter, BLOCK_INDEX};
 use pebble_serve::{
     persist, persist_file, persist_streamed, query, ProvStore, SegmentSink, ServeConfig, Server,
 };
-use pebble_workloads::{dblp_context, dblp_scenarios, running_example};
+use pebble_workloads::{
+    dblp_context, dblp_scenarios, running_example, twitter_context, twitter_scenarios,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn whole_item(run: &CapturedRun, idx: usize) -> Backtrace {
     let row = &run.output.rows[idx];
@@ -65,6 +71,106 @@ fn store_matches_memory_across_executor_matrix() {
             assert_eq!(mem, stored, "{what}: pattern backtrace");
         }
     }
+}
+
+/// Sattolo's shuffle of one association table's entries: a random cyclic
+/// permutation, so every entry of a table with two or more moves.
+fn shuffle<T>(entries: &mut [T], rng: &mut StdRng) {
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..i));
+    }
+}
+
+/// How many `INDEX` entries of a segment are not the identity.
+fn permuted_index_entries(segment: &[u8]) -> usize {
+    let mut blocks = BlockIter::parse(segment).unwrap();
+    let payload = loop {
+        match blocks.next_block().unwrap() {
+            Some((BLOCK_INDEX, payload)) => break payload,
+            Some(_) => {}
+            None => panic!("segment without an INDEX block"),
+        }
+    };
+    let buf = &mut &payload[..];
+    let ops = get_varint(buf).unwrap();
+    (0..ops)
+        .filter(|_| {
+            let len = get_varint(buf).unwrap();
+            (0..len).filter(|&j| get_varint(buf).unwrap() != j).count() > 0
+        })
+        .count()
+}
+
+/// Entry order means nothing in a non-`read` association table, and the
+/// engine writes every table ascending by output id, so only shuffled
+/// tables take the probes through a permutation. Over the ten scenarios,
+/// a run with every such table shuffled answers its scenario question and
+/// whole-row questions as the engine's own run does: in memory, and again
+/// after persist → open, from a segment whose `INDEX` carries the
+/// permutations.
+#[test]
+fn shuffled_tables_answer_like_the_engines() {
+    let runs = twitter_scenarios()
+        .into_iter()
+        .map(|s| (s, twitter_context(120)))
+        .chain(dblp_scenarios().into_iter().map(|s| (s, dblp_context(120))));
+    let mut rng = StdRng::seed_from_u64(0x5_4ff1e);
+    let (mut scenarios, mut traced) = (0, 0);
+    for (scenario, ctx) in runs {
+        for parts in [1, 3] {
+            let what = format!("{} p={parts}", scenario.name);
+            let config = ExecConfig::with_partitions(parts);
+            let run = run_captured(&scenario.program, &ctx, config).unwrap();
+            let n = run.output.rows.len();
+            let questions: Vec<Backtrace> =
+                std::iter::once(scenario.query.match_rows(&run.output.rows))
+                    .chain(
+                        (0..n)
+                            .step_by((n / 4).max(1))
+                            .map(|idx| whole_item(&run, idx)),
+                    )
+                    .collect();
+            let expected: Vec<_> = questions
+                .iter()
+                .map(|q| canonical_provenance(&backtrace(&run, q.clone()).unwrap()))
+                .collect();
+            traced += expected.iter().map(Vec::len).sum::<usize>();
+
+            let mut shuffled = run;
+            let mut moved = 0;
+            for op in &mut shuffled.ops {
+                let read = matches!(op.assoc, ProvAssoc::Read(_));
+                moved += usize::from(!read && op.assoc.len() > 1);
+                match &mut op.assoc {
+                    ProvAssoc::Read(_) => {}
+                    ProvAssoc::Unary(v) => shuffle(v, &mut rng),
+                    ProvAssoc::Binary(v) => shuffle(v, &mut rng),
+                    ProvAssoc::Flatten(v) => shuffle(v, &mut rng),
+                    ProvAssoc::Agg(v) => shuffle(v, &mut rng),
+                }
+            }
+            let bytes = persist(&shuffled);
+            assert_eq!(permuted_index_entries(&bytes), moved, "{what}: INDEX");
+            let store = ProvStore::from_bytes(&bytes).unwrap();
+            for (i, (q, want)) in questions.into_iter().zip(&expected).enumerate() {
+                let mem = backtrace(&shuffled, q.clone()).unwrap();
+                assert_eq!(
+                    canonical_provenance(&mem),
+                    *want,
+                    "{what}: question {i} in memory"
+                );
+                let stored = store.backtrace(q).unwrap();
+                assert_eq!(
+                    canonical_provenance(&stored),
+                    *want,
+                    "{what}: question {i} stored"
+                );
+            }
+        }
+        scenarios += 1;
+    }
+    assert_eq!(scenarios, 10);
+    assert!(traced > 900, "{traced} traced entries");
 }
 
 #[test]
