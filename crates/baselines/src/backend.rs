@@ -87,9 +87,9 @@ impl PreparedBackend for PreparedTitian<'_> {
                 }
                 ProvAssoc::Unary(assoc) => {
                     let ins = assoc
-                        .iter()
+                        .pairs()
                         .filter(|(_, o)| wanted.contains(o))
-                        .map(|&(i, _)| i)
+                        .map(|(i, _)| i)
                         .collect();
                     worklist.push((inputs[0], ins));
                 }

@@ -155,7 +155,7 @@ fn poly_of(
             }
         }
         ProvAssoc::Unary(assoc) => {
-            let Some(&(input, _)) = assoc.iter().find(|&&(_, o)| o == id) else {
+            let Some((input, _)) = assoc.pairs().find(|&(_, o)| o == id) else {
                 return Poly::Opaque;
             };
             let inner = poly_of(run, pred(op, 0), input, memo);

@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use pebble_dataflow::hash::FxHashMap;
 use pebble_dataflow::{
     run, Context, ExecConfig, ItemId, OpId, OpKind, Program, ProvenanceSink, Result, RunOutput,
+    UnaryRuns,
 };
 
 /// One operator's lineage table: output id → contributing input ids.
@@ -71,9 +72,9 @@ impl ProvenanceSink for LineageSink {
             .extend_from_slice(ids);
     }
 
-    fn unary_batch(&self, op: OpId, assoc: &[(ItemId, ItemId)]) {
+    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
         let mut t = self.per_op[op as usize].lock().unwrap();
-        t.entries.extend(assoc.iter().map(|&(i, o)| (vec![i], o)));
+        t.entries.extend(runs.pairs().map(|(i, o)| (vec![i], o)));
     }
 
     fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {

@@ -181,7 +181,7 @@ fn unary_input(p: &pebble_core::OperatorProvenance, id: ItemId) -> Option<(ItemI
     let ProvAssoc::Unary(assoc) = &p.assoc else {
         unreachable!()
     };
-    assoc.iter().find(|&&(_, o)| o == id).map(|&(i, _)| (i, ()))
+    assoc.pairs().find(|&(_, o)| o == id).map(|(i, _)| (i, ()))
 }
 
 /// Rewrites a result-side path back through the operator's manipulation

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use pebble_dataflow::{EngineError, ItemId, OpId, Result};
+use pebble_dataflow::{EngineError, ItemId, OpId, Result, UnaryRuns};
 use pebble_nested::{DataType, Path, Step};
 
 use crate::btree::{Backtrace, Forest, ProvTree};
@@ -229,6 +229,28 @@ impl<'a, T, V, P: Fn(&'a T) -> (ItemId, V)> Lookup<'a, T, P> {
     }
 }
 
+/// A probe over a unary table's runs: output id → run → the run's first
+/// input id plus the offset into the run.
+struct UnaryLookup<'a> {
+    table: &'a UnaryRuns,
+    order: Option<&'a [u32]>,
+}
+
+impl UnaryLookup<'_> {
+    /// The input id paired with output id `id`. An ascending table is
+    /// searched by its runs' first output ids; a permutation orders table
+    /// positions, each found in its run through the runs' end positions.
+    fn get(&self, id: ItemId) -> Option<ItemId> {
+        let Some(order) = self.order else {
+            return self.table.input_of_ascending(id);
+        };
+        let entry = |p: u32| self.table.get(p as usize);
+        let j = order.partition_point(|&p| entry(p).is_some_and(|(_, out)| out <= id));
+        let (input, out) = entry(order[j.checked_sub(1)?])?;
+        (out == id).then_some(input)
+    }
+}
+
 /// The position of `id` among `n` keys that ascend strictly. Keys are
 /// distinct integers, so `id` lies at most `id - key(lo)` positions after
 /// `lo` and at most `key(hi - 1) - id` before `hi - 1`. The engine numbers
@@ -287,17 +309,43 @@ fn check_order<T>(
 ) -> std::result::Result<(), &'static str> {
     let ascends = match order {
         None => table.windows(2).all(|w| out_id(&w[0]) < out_id(&w[1])),
-        Some(order) => {
-            if order.len() != table.len() {
-                return Err("does not cover its association table");
-            }
-            if order.iter().any(|&p| p as usize >= table.len()) {
-                return Err("references an out-of-range position");
-            }
-            order
-                .windows(2)
-                .all(|w| out_id(&table[w[0] as usize]) < out_id(&table[w[1] as usize]))
-        }
+        Some(order) => check_positions(table.len(), order, |p| out_id(&table[p]))?,
+    };
+    if !ascends {
+        return Err("is not sorted by output identifier");
+    }
+    Ok(())
+}
+
+/// Whether `order`, once it covers positions `0..len` in range, visits
+/// output ids (`out_id` of a position) in strictly ascending order.
+fn check_positions(
+    len: usize,
+    order: &[u32],
+    out_id: impl Fn(usize) -> ItemId,
+) -> std::result::Result<bool, &'static str> {
+    if order.len() != len {
+        return Err("does not cover its association table");
+    }
+    if order.iter().any(|&p| p as usize >= len) {
+        return Err("references an out-of-range position");
+    }
+    Ok(order
+        .windows(2)
+        .all(|w| out_id(w[0] as usize) < out_id(w[1] as usize)))
+}
+
+/// [`check_order`] over a unary table's runs: in table order, a scan of the
+/// runs, not the entries.
+fn check_unary_order(
+    table: &UnaryRuns,
+    order: Option<&[u32]>,
+) -> std::result::Result<(), &'static str> {
+    let ascends = match order {
+        None => table.out_ids_ascend(true),
+        Some(order) => check_positions(table.len(), order, |p| {
+            table.get(p).map_or(ItemId::MAX, |(_, out)| out)
+        })?,
     };
     if !ascends {
         return Err("is not sorted by output identifier");
@@ -312,7 +360,7 @@ fn check_op_order(
 ) -> std::result::Result<(), &'static str> {
     match &op.assoc {
         ProvAssoc::Read(v) => check_order(v, order, |&id| id),
-        ProvAssoc::Unary(v) => check_order(v, order, |e| e.1),
+        ProvAssoc::Unary(v) => check_unary_order(v, order),
         ProvAssoc::Binary(v) => check_order(v, order, |e| e.2),
         ProvAssoc::Flatten(v) => check_order(v, order, |e| e.2),
         ProvAssoc::Agg(v) => check_order(v, order, |e| e.1),
@@ -380,7 +428,7 @@ impl BacktraceIndex {
     pub fn permutation(op: &OperatorProvenance) -> Vec<u32> {
         let keys: Vec<ItemId> = match &op.assoc {
             ProvAssoc::Read(ids) => ids.clone(),
-            ProvAssoc::Unary(v) => v.iter().map(|&(_, o)| o).collect(),
+            ProvAssoc::Unary(v) => v.pairs().map(|(_, o)| o).collect(),
             ProvAssoc::Binary(v) => v.iter().map(|&(_, _, o)| o).collect(),
             ProvAssoc::Flatten(v) => v.iter().map(|&(_, _, o)| o).collect(),
             ProvAssoc::Agg(v) => v.iter().map(|(_, o)| *o).collect(),
@@ -390,27 +438,41 @@ impl BacktraceIndex {
         perm
     }
 
-    /// A probe over `table`, operator `oid`'s association table in the
-    /// view; an error when this index has no order for it that fits.
-    fn lookup<'a, T, V, P: Fn(&'a T) -> (ItemId, V)>(
-        &'a self,
-        oid: OpId,
-        table: &'a [T],
-        pick: P,
-    ) -> Result<Lookup<'a, T, P>> {
+    /// The order of operator `oid`'s table of `len` entries; an error when
+    /// this index has no order for it that fits.
+    fn order(&self, oid: OpId, len: usize) -> Result<Option<&[u32]>> {
         let order = self.orders.get(oid as usize).ok_or_else(|| {
             EngineError::BacktraceError(format!(
                 "prepared index covers {} operators, not operator #{oid}",
                 self.orders.len()
             ))
         })?;
-        if order.as_ref().is_some_and(|o| o.len() != table.len()) {
+        if order.as_ref().is_some_and(|o| o.len() != len) {
             return Err(perm_error(oid, "does not cover its association table"));
         }
+        Ok(order.as_deref())
+    }
+
+    /// A probe over `table`, operator `oid`'s association table in the
+    /// view.
+    fn lookup<'a, T, V, P: Fn(&'a T) -> (ItemId, V)>(
+        &'a self,
+        oid: OpId,
+        table: &'a [T],
+        pick: P,
+    ) -> Result<Lookup<'a, T, P>> {
         Ok(Lookup {
             table,
-            order: order.as_deref(),
+            order: self.order(oid, table.len())?,
             pick,
+        })
+    }
+
+    /// A probe over `table`, operator `oid`'s unary table in the view.
+    fn unary_lookup<'a>(&'a self, oid: OpId, table: &'a UnaryRuns) -> Result<UnaryLookup<'a>> {
+        Ok(UnaryLookup {
+            table,
+            order: self.order(oid, table.len())?,
         })
     }
 }
@@ -797,7 +859,7 @@ fn backtrace_generic<V: ProvView + ?Sized>(
     let ProvAssoc::Unary(table) = &p.assoc else {
         return Err(shape_error(p.oid, "a unary"));
     };
-    let to_input = index.lookup(p.oid, table, |&(i, o)| (o, i))?;
+    let to_input = index.unary_lookup(p.oid, table)?;
     let input_schema = view.input_schema_of(p.oid, 0);
     // A select fully defines its output: any root attribute still
     // referencing the select's *output* schema after the rewrite (e.g. a
@@ -820,7 +882,7 @@ fn backtrace_generic<V: ProvView + ?Sized>(
         walk,
         &mut b.entries,
         true,
-        |id| to_input.get(id).map(|(_, input_id)| (input_id, ())),
+        |id| to_input.get(id).map(|input_id| (input_id, ())),
         |tree, ()| {
             match &p.manipulated {
                 Some(ms) => {

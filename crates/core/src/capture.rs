@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pebble_dataflow::{
     run, Context, EngineError, ExecConfig, ItemId, OpId, OpKind, Program, ProvenanceSink, Result,
-    RunOutput,
+    RunOutput, UnaryRuns,
 };
 use pebble_nested::encode::{
     frame_block, get_ids_delta, get_varint, put_ids_delta, put_varint, take_frame, CodecError,
@@ -35,8 +35,9 @@ use pebble_obs::{ObsConfig, ProvenanceStats, RunReport};
 pub enum ProvAssoc {
     /// `read`: identifiers assigned to the source items, in dataset order.
     Read(Vec<ItemId>),
-    /// `map`/`select`/`filter`: `⟨id^i, id^o⟩`.
-    Unary(Vec<(ItemId, ItemId)>),
+    /// `map`/`select`/`filter`: `⟨id^i, id^o⟩`, held as the id runs the
+    /// executor produces.
+    Unary(UnaryRuns),
     /// `join`/`union`: `⟨id_1^i, id_2^i, id^o⟩` (one side undefined for
     /// `union`).
     Binary(Vec<(Option<ItemId>, Option<ItemId>, ItemId)>),
@@ -88,16 +89,20 @@ impl ProvAssoc {
     }
 
     /// Resident heap bytes of the stored entries — the quantity the capture
-    /// memory budget accounts (identifiers plus flatten positions).
+    /// memory budget accounts (identifiers plus flatten positions; a unary
+    /// table's runs, not its pairs).
     fn resident_bytes(&self) -> usize {
-        self.lineage_bytes() + self.structural_extra_bytes()
+        match self {
+            ProvAssoc::Unary(v) => v.resident_bytes(),
+            _ => self.lineage_bytes() + self.structural_extra_bytes(),
+        }
     }
 
     /// An empty table of the same shape.
     fn empty_like(&self) -> ProvAssoc {
         match self {
             ProvAssoc::Read(_) => ProvAssoc::Read(Vec::new()),
-            ProvAssoc::Unary(_) => ProvAssoc::Unary(Vec::new()),
+            ProvAssoc::Unary(_) => ProvAssoc::Unary(UnaryRuns::new()),
             ProvAssoc::Binary(_) => ProvAssoc::Binary(Vec::new()),
             ProvAssoc::Flatten(_) => ProvAssoc::Flatten(Vec::new()),
             ProvAssoc::Agg(_) => ProvAssoc::Agg(Vec::new()),
@@ -109,7 +114,7 @@ impl ProvAssoc {
     fn append_from(&mut self, other: ProvAssoc) -> std::result::Result<(), CodecError> {
         match (self, other) {
             (ProvAssoc::Read(a), ProvAssoc::Read(b)) => a.extend(b),
-            (ProvAssoc::Unary(a), ProvAssoc::Unary(b)) => a.extend(b),
+            (ProvAssoc::Unary(a), ProvAssoc::Unary(b)) => a.append(&b),
             (ProvAssoc::Binary(a), ProvAssoc::Binary(b)) => a.extend(b),
             (ProvAssoc::Flatten(a), ProvAssoc::Flatten(b)) => a.extend(b),
             (ProvAssoc::Agg(a), ProvAssoc::Agg(b)) => a.extend(b),
@@ -125,7 +130,8 @@ const BLOCK_CAPTURE_ASSOC: u8 = 0x53;
 
 /// Encodes a drained association table as one framed chunk. Identifier
 /// columns are delta-encoded — they are near-sequential, so spilled chunks
-/// are far smaller than the resident tables they replace.
+/// are far smaller than the resident tables they replace — and a unary
+/// table is written as its run tokens.
 fn encode_assoc_chunk(assoc: &ProvAssoc, out: &mut Vec<u8>) {
     let mut buf = Vec::new();
     match assoc {
@@ -135,10 +141,7 @@ fn encode_assoc_chunk(assoc: &ProvAssoc, out: &mut Vec<u8>) {
         }
         ProvAssoc::Unary(v) => {
             buf.push(1);
-            let ins: Vec<u64> = v.iter().map(|e| e.0).collect();
-            let outs: Vec<u64> = v.iter().map(|e| e.1).collect();
-            put_ids_delta(&mut buf, &ins);
-            put_ids_delta(&mut buf, &outs);
+            v.put_tokens(&mut buf);
         }
         ProvAssoc::Binary(v) => {
             buf.push(2);
@@ -185,12 +188,9 @@ fn decode_assoc_chunk(payload: &[u8]) -> std::result::Result<ProvAssoc, CodecErr
     let assoc = match tag {
         0 => ProvAssoc::Read(get_ids_delta(buf)?),
         1 => {
-            let ins = get_ids_delta(buf)?;
-            let outs = get_ids_delta(buf)?;
-            if ins.len() != outs.len() {
-                return Err(CodecError("unary chunk column length mismatch".into()));
-            }
-            ProvAssoc::Unary(ins.into_iter().zip(outs).collect())
+            let mut runs = UnaryRuns::new();
+            runs.get_tokens(buf, usize::MAX)?;
+            ProvAssoc::Unary(runs)
         }
         2 => {
             let n = get_varint(buf)? as usize;
@@ -517,7 +517,7 @@ impl CaptureSink {
                 Mutex::new(match &op.kind {
                     OpKind::Read { .. } => ProvAssoc::Read(Vec::with_capacity(n)),
                     OpKind::Filter { .. } | OpKind::Select { .. } | OpKind::Map { .. } => {
-                        ProvAssoc::Unary(Vec::with_capacity(n))
+                        ProvAssoc::Unary(UnaryRuns::new())
                     }
                     OpKind::Join { .. } | OpKind::Union => ProvAssoc::Binary(Vec::with_capacity(n)),
                     OpKind::Flatten { .. } => ProvAssoc::Flatten(Vec::with_capacity(n)),
@@ -599,24 +599,15 @@ impl ProvenanceSink for CaptureSink {
         }
     }
 
-    fn unary_batch(&self, op: OpId, assoc: &[(ItemId, ItemId)]) {
+    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
+        // Runs stay runs: the budget is charged for the runs the table
+        // grows by, nothing when the batch continues its last run.
         let mut guard = self.assoc(op);
         if let ProvAssoc::Unary(v) = &mut *guard {
-            v.extend_from_slice(assoc);
-            self.recorded(op, &mut guard, std::mem::size_of_val(assoc));
-        } else {
-            self.fail(op, "unary");
-        }
-    }
-
-    fn unary_run(&self, op: OpId, in_first: ItemId, out_first: ItemId, len: u64) {
-        // The stored table stays expanded pairs — byte-identical to a
-        // per-pair capture — but a whole id range appends in one lock hold
-        // with no intermediate batch buffer.
-        let mut guard = self.assoc(op);
-        if let ProvAssoc::Unary(v) = &mut *guard {
-            v.extend((0..len).map(|k| (in_first + k, out_first + k)));
-            self.recorded(op, &mut guard, len as usize * 16);
+            let before = v.resident_bytes();
+            v.append(runs);
+            let added = v.resident_bytes() - before;
+            self.recorded(op, &mut guard, added);
         } else {
             self.fail(op, "unary");
         }

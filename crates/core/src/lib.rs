@@ -41,3 +41,4 @@ pub use capture::{
 };
 pub use pattern::{EdgeKind, PatternNode, TreePattern, ValuePred};
 pub use pattern_parse::PatternParseError;
+pub use pebble_dataflow::UnaryRuns;

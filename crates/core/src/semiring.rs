@@ -273,7 +273,7 @@ fn id_polynomial(
             Polynomial::var((oid, index))
         }
         ProvAssoc::Unary(v) => {
-            let &(input, _) = v.iter().find(|&&(_, o)| o == id).ok_or_else(missing)?;
+            let (input, _) = v.pairs().find(|&(_, o)| o == id).ok_or_else(missing)?;
             id_polynomial(run, pred(0)?, input, memo)?
         }
         ProvAssoc::Binary(v) => {

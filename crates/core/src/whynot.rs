@@ -496,7 +496,7 @@ fn forward_index(assoc: &ProvAssoc, side: usize) -> FxHashMap<ItemId, Vec<ItemId
     match assoc {
         ProvAssoc::Read(_) => {}
         ProvAssoc::Unary(v) => {
-            for &(i, o) in v {
+            for (i, o) in v.pairs() {
                 index.entry(i).or_default().push(o);
             }
         }

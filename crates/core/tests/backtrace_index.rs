@@ -5,7 +5,7 @@
 
 use pebble_core::{
     backtrace, backtrace_with, canonical_provenance, run_captured, Backtrace, BacktraceIndex,
-    CapturedRun, ProvAssoc, ProvTree,
+    CapturedRun, ProvAssoc, ProvTree, UnaryRuns,
 };
 use pebble_dataflow::{
     context::items_of, Context, EngineError, ExecConfig, Expr, ItemId, NamedExpr, ProgramBuilder,
@@ -38,10 +38,12 @@ fn ask_w(run: &CapturedRun, row: usize) -> Backtrace {
 }
 
 fn reverse_filter_table(run: &mut CapturedRun) {
-    let ProvAssoc::Unary(pairs) = &mut run.ops[1].assoc else {
+    let ProvAssoc::Unary(runs) = &mut run.ops[1].assoc else {
         panic!("a filter carries a unary table");
     };
+    let mut pairs: Vec<_> = runs.pairs().collect();
     pairs.reverse();
+    *runs = UnaryRuns::from_pairs(pairs);
 }
 
 /// An index never answers from the run it was built on, and an order that
@@ -146,9 +148,9 @@ fn spread_ids(mut run: CapturedRun) -> CapturedRun {
     for op in &mut run.ops {
         match &mut op.assoc {
             ProvAssoc::Read(ids) => ids.iter_mut().for_each(|id| *id = spread(*id)),
-            ProvAssoc::Unary(v) => v
-                .iter_mut()
-                .for_each(|(i, o)| (*i, *o) = (spread(*i), spread(*o))),
+            ProvAssoc::Unary(v) => {
+                *v = v.pairs().map(|(i, o)| (spread(i), spread(o))).collect();
+            }
             ProvAssoc::Binary(v) => v.iter_mut().for_each(|(l, r, o)| {
                 (*l, *r, *o) = (l.map(spread), r.map(spread), spread(*o));
             }),

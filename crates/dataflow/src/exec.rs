@@ -51,6 +51,7 @@ use crate::hash::FxHashMap;
 use crate::op::{key_value, AggFunc, AggSpec, GroupKey, MapUdf, NamedExpr, OpId, OpKind};
 use crate::pool::WorkerPool;
 use crate::program::{Operator, Program};
+use crate::runs::UnaryRuns;
 use crate::sink::ProvenanceSink;
 use crate::spill::{self, BucketWriter, MemoryTracker, SpillDir, SpilledBucket, SpilledRows};
 
@@ -773,7 +774,7 @@ pub(crate) enum TaskOut {
     ColChain {
         rows: Vec<Row>,
         /// Per-stage associations (empty when the sink is disabled).
-        stages: Vec<StageAssoc>,
+        stages: Vec<UnaryRuns>,
         counts: Vec<usize>,
         /// Rows fed into the morsel (for batch-size telemetry).
         rows_in: usize,
@@ -786,7 +787,7 @@ pub(crate) enum TaskOut {
     },
     Chain {
         rows: Vec<Row>,
-        assocs: Vec<Vec<(ItemId, ItemId)>>,
+        assocs: Vec<UnaryRuns>,
         counts: Vec<usize>,
         /// First row failure at the *earliest* failing stage, if any. The
         /// morsel keeps processing (skipping failed rows) so `counts` for
@@ -821,24 +822,6 @@ pub(crate) enum TaskOut {
     },
 }
 
-/// Associations of one vectorized chain stage within one morsel.
-///
-/// A 1:1 stage over positionally-consecutive inputs collapses to a `Run`:
-/// `(in_first + i, out_first + i)` for `i < len`. The scheduler
-/// concatenates adjacent runs across morsels and hands the capture sink
-/// id *ranges* instead of per-row pairs; anything non-contiguous degrades
-/// to explicit `Pairs` with the row path's exact contents.
-pub(crate) enum StageAssoc {
-    /// `len` consecutive input→output pairs starting at the given ids.
-    Run {
-        in_first: ItemId,
-        out_first: ItemId,
-        len: usize,
-    },
-    /// Explicit pairs, ordered like the row kernel would emit them.
-    Pairs(Vec<(ItemId, ItemId)>),
-}
-
 /// A row-level failure inside a fused chain, recorded morsel-locally.
 ///
 /// `input_local` is the identifier of the failing stage's input row: final
@@ -871,9 +854,7 @@ pub(crate) fn chain_morsel<S: ProvenanceSink>(
 ) -> Result<TaskOut> {
     let n = kernel.stages.len();
     let mut ids: Vec<IdGen> = kernel.ops.iter().map(|&op| IdGen::new(op, pidx)).collect();
-    let mut assocs: Vec<Vec<(ItemId, ItemId)>> = (0..n)
-        .map(|_| Vec::with_capacity(if S::ENABLED { rows.len() } else { 0 }))
-        .collect();
+    let mut assocs: Vec<UnaryRuns> = (0..n).map(|_| UnaryRuns::new()).collect();
     let mut counts = vec![0usize; n];
     let mut panics = vec![0u32; n];
     let mut out = Vec::with_capacity(rows.len());
@@ -946,7 +927,7 @@ pub(crate) fn chain_morsel<S: ProvenanceSink>(
             }
             let id = ids[s].next();
             if S::ENABLED {
-                assocs[s].push((prev_id, id));
+                assocs[s].push(prev_id, id);
             }
             counts[s] += 1;
             prev_id = id;
@@ -2597,12 +2578,10 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
     /// Stitch for a fused filter/select/map chain: re-bases each morsel's
     /// partition-local ids by the per-stage running offsets and emits the
     /// per-stage associations stage-major, partition-ordered — the batch
-    /// sequence an unfused execution reports per operator. Vectorized
-    /// morsels report a stage as a contiguous id *run* or as explicit pairs
-    /// (row-kernel morsels: always pairs). Runs from adjacent morsels of the
-    /// same partition coalesce (offset re-basing makes them contiguous), so
-    /// a whole partition's select stage usually emits as one
-    /// [`ProvenanceSink::unary_run`] instead of per-row pushes.
+    /// sequence an unfused execution reports per operator. Every morsel
+    /// reports a stage as id runs; re-basing keeps them runs, and runs of
+    /// adjacent morsels of the same partition coalesce, so a whole
+    /// partition's select stage usually reaches the sink as one run.
     fn finalize_chain(
         &mut self,
         start: usize,
@@ -2611,75 +2590,12 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
         task_pidx: &[usize],
         results: &mut [Option<TaskResult>],
     ) -> Result<()> {
-        enum AccAssoc {
-            Empty,
-            Run {
-                in_first: ItemId,
-                out_first: ItemId,
-                len: u64,
-            },
-            Pairs(Vec<(ItemId, ItemId)>),
-        }
-        impl AccAssoc {
-            fn expand(in_first: ItemId, out_first: ItemId, len: u64) -> Vec<(ItemId, ItemId)> {
-                (0..len).map(|i| (in_first + i, out_first + i)).collect()
-            }
-            fn push_run(&mut self, in_first: ItemId, out_first: ItemId, run_len: u64) {
-                if run_len == 0 {
-                    return;
-                }
-                match self {
-                    AccAssoc::Empty => {
-                        *self = AccAssoc::Run {
-                            in_first,
-                            out_first,
-                            len: run_len,
-                        };
-                    }
-                    AccAssoc::Run {
-                        in_first: i0,
-                        out_first: o0,
-                        len: l,
-                    } => {
-                        if *i0 + *l == in_first && *o0 + *l == out_first {
-                            *l += run_len;
-                        } else {
-                            let mut pairs = AccAssoc::expand(*i0, *o0, *l);
-                            pairs.extend(AccAssoc::expand(in_first, out_first, run_len));
-                            *self = AccAssoc::Pairs(pairs);
-                        }
-                    }
-                    AccAssoc::Pairs(pairs) => {
-                        pairs.extend(AccAssoc::expand(in_first, out_first, run_len));
-                    }
-                }
-            }
-            fn push_pairs(&mut self, new: Vec<(ItemId, ItemId)>) {
-                if new.is_empty() {
-                    return;
-                }
-                match self {
-                    AccAssoc::Empty => *self = AccAssoc::Pairs(new),
-                    AccAssoc::Run {
-                        in_first,
-                        out_first,
-                        len,
-                    } => {
-                        let mut pairs = AccAssoc::expand(*in_first, *out_first, *len);
-                        pairs.extend(new);
-                        *self = AccAssoc::Pairs(pairs);
-                    }
-                    AccAssoc::Pairs(pairs) => pairs.extend(new),
-                }
-            }
-        }
-
         let ops = self.ops;
         let n = len;
         let chain_ids: Vec<OpId> = ops[start..start + len].iter().map(|o| o.id).collect();
         let mut parts: Partitions = (0..out_parts).map(|_| Vec::new()).collect();
-        let mut acc: Vec<Vec<AccAssoc>> = (0..out_parts)
-            .map(|_| (0..n).map(|_| AccAssoc::Empty).collect())
+        let mut acc: Vec<Vec<UnaryRuns>> = (0..out_parts)
+            .map(|_| (0..n).map(|_| UnaryRuns::new()).collect())
             .collect();
         let mut offsets: Vec<Vec<u64>> = vec![vec![0u64; n]; out_parts];
         let mut totals = vec![0usize; n];
@@ -2707,36 +2623,17 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
                     counts,
                     ..
                 })) => {
-                    let stages = assocs.into_iter().map(StageAssoc::Pairs).collect();
-                    (rows, stages, counts)
+                    self.col_stats.id_pairs += assocs.iter().map(|a| a.len() as u64).sum::<u64>();
+                    (rows, assocs, counts)
                 }
                 _ => return Err(EngineError::Internal("chain task shape mismatch".into())),
             };
             let off = &mut offsets[p];
             if S::ENABLED {
-                for (s, stage) in stages.into_iter().enumerate() {
-                    match stage {
-                        StageAssoc::Run {
-                            mut in_first,
-                            mut out_first,
-                            len: run_len,
-                        } => {
-                            if s > 0 {
-                                in_first += off[s - 1];
-                            }
-                            out_first += off[s];
-                            acc[p][s].push_run(in_first, out_first, run_len as u64);
-                        }
-                        StageAssoc::Pairs(mut pairs) => {
-                            for entry in pairs.iter_mut() {
-                                if s > 0 {
-                                    entry.0 += off[s - 1];
-                                }
-                                entry.1 += off[s];
-                            }
-                            acc[p][s].push_pairs(pairs);
-                        }
-                    }
+                for (s, mut stage) in stages.into_iter().enumerate() {
+                    let d_in = if s > 0 { off[s - 1] } else { 0 };
+                    stage.rebase(d_in, off[s]);
+                    acc[p][s].append(&stage);
                 }
             }
             let last = off[n - 1];
@@ -2750,26 +2647,12 @@ impl<'a, S: ProvenanceSink> Scheduler<'a, S> {
             parts[p].append(&mut rows);
         }
         if S::ENABLED {
-            // Stage-major, partition-ordered emission; run-shaped batches
-            // go through the range entry point.
+            // Stage-major, partition-ordered emission.
             for (s, &op) in chain_ids.iter().enumerate() {
-                for part in acc.iter_mut() {
-                    match std::mem::replace(&mut part[s], AccAssoc::Empty) {
-                        AccAssoc::Empty => {}
-                        AccAssoc::Run {
-                            in_first,
-                            out_first,
-                            len,
-                        } => {
-                            self.col_stats.id_ranges += 1;
-                            self.sink.unary_run(op, in_first, out_first, len);
-                        }
-                        AccAssoc::Pairs(pairs) => {
-                            if !pairs.is_empty() {
-                                self.col_stats.id_pairs += pairs.len() as u64;
-                                self.sink.unary_batch(op, &pairs);
-                            }
-                        }
+                for part in &acc {
+                    if !part[s].is_empty() {
+                        self.col_stats.id_ranges += part[s].run_count() as u64;
+                        self.sink.unary_runs(op, &part[s]);
                     }
                 }
             }
@@ -3363,7 +3246,11 @@ mod tests {
             assert_eq!((plain.id_ranges, plain.id_pairs), (4, 0));
             let mapped = stats(true);
             assert_eq!(mapped.fallback_units, 1);
-            assert_eq!((mapped.id_ranges, mapped.batches), (0, 0));
+            // The row kernel's per-row associations coalesce too.
+            assert_eq!(
+                (mapped.id_ranges, mapped.id_pairs, mapped.batches),
+                (6, 120, 0)
+            );
         };
         check();
         // The retired knob (spelled in two pieces so a grep for it finds no

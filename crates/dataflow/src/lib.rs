@@ -23,6 +23,7 @@ pub mod op;
 pub mod optimize;
 pub mod pool;
 pub mod program;
+pub mod runs;
 pub mod sink;
 pub mod spill;
 pub mod vector;
@@ -37,5 +38,6 @@ pub use optimize::{optimize, OptimizeStats};
 pub use pebble_obs::{ObsConfig, RunReport};
 pub use pool::WorkerPool;
 pub use program::{Operator, Program, ProgramBuilder};
+pub use runs::UnaryRuns;
 pub use sink::{NoSink, ProvenanceSink, Tee};
 pub use spill::MemoryTracker;

@@ -8,6 +8,7 @@
 
 use crate::exec::ItemId;
 use crate::op::{OpId, OpKind};
+use crate::runs::UnaryRuns;
 
 /// Receives the identifier associations produced during execution.
 ///
@@ -22,21 +23,10 @@ pub trait ProvenanceSink: Sync {
     /// order.
     fn read_batch(&self, _op: OpId, _ids: &[ItemId]) {}
 
-    /// `⟨id^i, id^o⟩` pairs for `map`, `select`, `filter` (Tab. 6 row 1).
-    fn unary_batch(&self, _op: OpId, _assoc: &[(ItemId, ItemId)]) {}
-
-    /// A contiguous run of `len` unary pairs `⟨in_first + k, out_first + k⟩`
-    /// for `k in 0..len` — the shape the columnar path produces when a whole
-    /// partition maps positionally. The default expands to [`unary_batch`],
-    /// so existing sinks observe identical associations; table-backed sinks
-    /// can override to append the range without materializing pairs.
-    ///
-    /// [`unary_batch`]: ProvenanceSink::unary_batch
-    fn unary_run(&self, op: OpId, in_first: ItemId, out_first: ItemId, len: u64) {
-        let pairs: Vec<(ItemId, ItemId)> =
-            (0..len).map(|k| (in_first + k, out_first + k)).collect();
-        self.unary_batch(op, &pairs);
-    }
+    /// `⟨id^i, id^o⟩` pairs for `map`, `select`, `filter` (Tab. 6 row 1),
+    /// as the id runs the executor produces: one call per partition and
+    /// operator, runs coalesced across the partition's morsels.
+    fn unary_runs(&self, _op: OpId, _runs: &UnaryRuns) {}
 
     /// `⟨id_1^i, id_2^i, id^o⟩` triples for `join` and `union` (Tab. 6
     /// row 2); for `union` the non-originating side is `None`.
@@ -74,17 +64,9 @@ impl<A: ProvenanceSink, B: ProvenanceSink> ProvenanceSink for Tee<'_, A, B> {
         self.1.read_batch(op, ids);
     }
 
-    fn unary_batch(&self, op: OpId, assoc: &[(ItemId, ItemId)]) {
-        self.0.unary_batch(op, assoc);
-        self.1.unary_batch(op, assoc);
-    }
-
-    // Forwarded as a run so both sinks keep their range representations;
-    // the default expansion would silently degrade run-aware sinks to
-    // per-pair recording.
-    fn unary_run(&self, op: OpId, in_first: ItemId, out_first: ItemId, len: u64) {
-        self.0.unary_run(op, in_first, out_first, len);
-        self.1.unary_run(op, in_first, out_first, len);
+    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
+        self.0.unary_runs(op, runs);
+        self.1.unary_runs(op, runs);
     }
 
     fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {

@@ -17,15 +17,16 @@
 //!   uniqueness was checked once at plan time, so assembly skips the
 //!   duplicate scan), and convert to rows once per morsel;
 //! * output identifiers are positional — base id + offset within the
-//!   batch — so 1:1 stages report their associations as contiguous
-//!   [`StageAssoc::Run`]s instead of materialized per-row pairs.
+//!   batch — so stages report their associations as id runs
+//!   ([`UnaryRuns`]): one per morsel for a 1:1 stage, one per stretch of
+//!   kept rows for a filter, never materialized per-row pairs.
 //!
 //! Planning is all-or-nothing per unit and decided from the plan alone:
 //! any stage the planner cannot vectorize (a `map`/scalar UDF, a select
 //! with duplicate output labels) sends the whole unit to the row chain
 //! kernel, whose per-row panic containment is the contract user code runs
 //! under. The two chain kernels are specified byte-identical in rows, ids
-//! and expanded association tables; the differential test at the bottom of
+//! and association tables; the differential test at the bottom of
 //! this file holds them to it on generated chains.
 
 use std::hash::Hasher;
@@ -34,11 +35,12 @@ use std::sync::Arc;
 use pebble_nested::{ColumnBatch, ColumnData, DataItem, Label, Path, SelectionVector, Step, Value};
 
 use crate::error::Result;
-use crate::exec::{ItemId, Row, StageAssoc, TaskOut};
+use crate::exec::{Row, TaskOut};
 use crate::expr::{CmpOp, Expr, SelectExpr};
 use crate::fault;
 use crate::hash::FxHasher;
 use crate::op::{GroupKey, OpId};
+use crate::runs::UnaryRuns;
 use crate::sink::ProvenanceSink;
 
 /// A path compiled for columnar evaluation. Attr-only paths become
@@ -525,13 +527,13 @@ pub(crate) fn col_chain_morsel<S: ProvenanceSink>(
     let n = kernel.stages.len();
     let base = |s: usize| ((kernel.ops[s] as u64) << 48) | ((pidx as u64) << 32);
     // Input ids are consecutive for every upstream operator except
-    // group-aggregate (whose output is globally key-sorted); a consecutive
-    // prefix lets 1:1 stage-0 associations collapse into a run.
-    // checked in full: key-sorted ids can be a permutation whose first and
-    // last elements alone look consecutive.
+    // group-aggregate (whose output is globally key-sorted); consecutive
+    // inputs let a stage-0 select append its run in one step. Checked in
+    // full: key-sorted ids can be a permutation whose first and last
+    // elements alone look consecutive.
     let input_consecutive = rows.windows(2).all(|w| w[1].id == w[0].id + 1);
     let mut counts = vec![0usize; n];
-    let mut stage_assocs: Vec<StageAssoc> = Vec::with_capacity(if S::ENABLED { n } else { 0 });
+    let mut stage_assocs: Vec<UnaryRuns> = Vec::with_capacity(if S::ENABLED { n } else { 0 });
     // Rows surviving so far, in one of three forms: borrowed input rows
     // (before the first select), the dense column batch a select produced
     // (the fast path — downstream col-ready stages read columns directly,
@@ -563,7 +565,7 @@ pub(crate) fn col_chain_morsel<S: ProvenanceSink>(
         match stage {
             ColStage::Filter { pred, .. } => {
                 let before = sel.len();
-                let mut pairs: Vec<(ItemId, ItemId)> = Vec::new();
+                let mut assoc = UnaryRuns::new();
                 {
                     let view = match &working {
                         Working::Batch(b) => Some(BatchView::of(b)),
@@ -585,7 +587,7 @@ pub(crate) fn col_chain_morsel<S: ProvenanceSink>(
                                 } else {
                                     base(s - 1) | pos as u64
                                 };
-                                pairs.push((input, base(s) | kept));
+                                assoc.push(input, base(s) | kept);
                             }
                             kept += 1;
                             true
@@ -598,24 +600,7 @@ pub(crate) fn col_chain_morsel<S: ProvenanceSink>(
                 filter_in += before as u64;
                 filter_kept += sel.len() as u64;
                 if S::ENABLED {
-                    // An all-kept filter over consecutive inputs is itself
-                    // a run; represent it as one so the capture sink can
-                    // append a range instead of `before` pairs.
-                    let all_kept = sel.len() == before && before > 0;
-                    if all_kept && (s > 0 || input_consecutive) {
-                        let in_first = if s == 0 {
-                            rows[sel.indices()[0] as usize].id
-                        } else {
-                            base(s - 1)
-                        };
-                        stage_assocs.push(StageAssoc::Run {
-                            in_first,
-                            out_first: base(s),
-                            len: before,
-                        });
-                    } else {
-                        stage_assocs.push(StageAssoc::Pairs(pairs));
-                    }
+                    stage_assocs.push(assoc);
                 }
             }
             ColStage::Select {
@@ -670,29 +655,21 @@ pub(crate) fn col_chain_morsel<S: ProvenanceSink>(
                 };
                 batches += 1;
                 if S::ENABLED {
-                    let assoc = if s == 0 {
-                        if input_consecutive {
-                            StageAssoc::Run {
-                                in_first: rows.first().map_or(0, |r| r.id),
-                                out_first: base(s),
-                                len: kcount,
-                            }
-                        } else {
-                            StageAssoc::Pairs(
-                                sel.indices()
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(j, &row)| (rows[row as usize].id, base(s) | j as u64))
-                                    .collect(),
-                            )
-                        }
+                    let assoc = if s == 0 && !input_consecutive {
+                        sel.indices()
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &row)| (rows[row as usize].id, base(s) | j as u64))
+                            .collect()
                     } else {
-                        // 1:1 over the previous stage's (dense) output.
-                        StageAssoc::Run {
-                            in_first: base(s - 1),
-                            out_first: base(s),
-                            len: kcount,
-                        }
+                        // 1:1 over consecutive inputs or over the previous
+                        // stage's (dense) output.
+                        let in_first = if s == 0 {
+                            rows.first().map_or(0, |r| r.id)
+                        } else {
+                            base(s - 1)
+                        };
+                        UnaryRuns::run(in_first, base(s), kcount as u64)
                     };
                     stage_assocs.push(assoc);
                 }
@@ -1081,25 +1058,14 @@ mod tests {
             .collect()
     }
 
-    fn expand(stage: StageAssoc) -> Vec<(ItemId, ItemId)> {
-        match stage {
-            StageAssoc::Run {
-                in_first,
-                out_first,
-                len,
-            } => (0..len as u64)
-                .map(|k| (in_first + k, out_first + k))
-                .collect(),
-            StageAssoc::Pairs(pairs) => pairs,
-        }
-    }
-
     /// What one comparison saw, so the test can prove it was not vacuous.
     #[derive(Default)]
     struct Seen {
         rows_out: usize,
-        runs: usize,
-        pairs: usize,
+        /// Stages whose associations are one run.
+        one_run: usize,
+        /// Stages whose associations are several runs.
+        many_runs: usize,
     }
 
     fn assert_kernels_agree<S: ProvenanceSink>(
@@ -1138,25 +1104,25 @@ mod tests {
             ..Seen::default()
         };
         for stage in &stages {
-            match stage {
-                StageAssoc::Run { .. } => seen.runs += 1,
-                StageAssoc::Pairs(_) => seen.pairs += 1,
+            match stage.run_count() {
+                0 => {}
+                1 => seen.one_run += 1,
+                _ => seen.many_runs += 1,
             }
         }
-        let expanded: Vec<Vec<(ItemId, ItemId)>> = stages.into_iter().map(expand).collect();
         if S::ENABLED {
-            assert_eq!(assocs, expanded, "{tag}: stage associations");
+            assert_eq!(assocs, stages, "{tag}: stage associations");
         } else {
-            assert!(expanded.is_empty(), "{tag}: associations without a sink");
-            assert!(assocs.iter().all(Vec::is_empty), "{tag}");
+            assert!(stages.is_empty(), "{tag}: associations without a sink");
+            assert!(assocs.iter().all(UnaryRuns::is_empty), "{tag}");
         }
         seen
     }
 
     /// Generated filter/select chains — col-ready and not — over empty,
     /// one-row, consecutive-id, non-consecutive-id and multi-morsel inputs:
-    /// both chain kernels give equal rows, counts and expanded stage
-    /// associations, with capture off and on.
+    /// both chain kernels give equal rows, counts and stage association
+    /// tables, with capture off and on.
     #[test]
     fn chain_kernels_agree_on_generated_chains() {
         const CHAINS: usize = 600;
@@ -1219,16 +1185,24 @@ mod tests {
                 assert_kernels_agree::<NoSink>(&row, &col, pidx, input, &tag);
                 let seen = assert_kernels_agree::<Recording>(&row, &col, pidx, input, &tag);
                 total.rows_out += seen.rows_out;
-                total.runs += seen.runs;
-                total.pairs += seen.pairs;
+                total.one_run += seen.one_run;
+                total.many_runs += seen.many_runs;
             }
         }
-        // Not vacuous: both planner outcomes, both association shapes, and
-        // chains that let rows through.
+        // Not vacuous: both planner outcomes, single- and multi-run stages,
+        // and chains that let rows through.
         assert!(col_ready >= 200, "only {col_ready} col-ready chains");
         assert!(interpreted >= 200, "only {interpreted} interpreted chains");
         assert!(total.rows_out >= 10_000, "only {} rows out", total.rows_out);
-        assert!(total.runs >= 1_000, "only {} run stages", total.runs);
-        assert!(total.pairs >= 1_000, "only {} pair stages", total.pairs);
+        assert!(
+            total.one_run >= 1_000,
+            "only {} one-run stages",
+            total.one_run
+        );
+        assert!(
+            total.many_runs >= 1_000,
+            "only {} many-run stages",
+            total.many_runs
+        );
     }
 }

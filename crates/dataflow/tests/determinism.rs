@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use pebble_dataflow::context::items_of;
 use pebble_dataflow::{
     run, AggFunc, AggSpec, Context, ExecConfig, ExecMatrix, Expr, GroupKey, ItemId, NamedExpr,
-    OpId, Program, ProgramBuilder, ProvenanceSink, Shape,
+    OpId, Program, ProgramBuilder, ProvenanceSink, Shape, UnaryRuns,
 };
 use pebble_nested::{Path, Value};
 
@@ -60,8 +60,8 @@ impl ProvenanceSink for LogSink {
         self.push(Event::Read(op, ids.to_vec()));
     }
 
-    fn unary_batch(&self, op: OpId, assoc: &[(ItemId, ItemId)]) {
-        self.push(Event::Unary(op, assoc.to_vec()));
+    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
+        self.push(Event::Unary(op, runs.pairs().collect()));
     }
 
     fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {

@@ -198,9 +198,10 @@ pub struct ColumnarStats {
     pub filter_in: u64,
     /// Rows those filters kept (selection-vector survivors).
     pub filter_kept: u64,
-    /// Provenance associations emitted as contiguous id *ranges*.
+    /// Id runs fused chains handed to the provenance sink.
     pub id_ranges: u64,
-    /// Provenance associations emitted as expanded per-row pairs.
+    /// Associations the row chain kernel (UDF-hosting units) recorded
+    /// row by row before they coalesced into runs.
     pub id_pairs: u64,
     /// Chain units that ran on the row kernel because their plan hosts
     /// user code (UDF stages) or a select with duplicate labels.

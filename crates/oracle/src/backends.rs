@@ -209,9 +209,9 @@ fn scan_outputs(assoc: &ProvAssoc, side: usize, id: ItemId) -> Vec<ItemId> {
     match assoc {
         ProvAssoc::Read(_) => Vec::new(),
         ProvAssoc::Unary(v) => v
-            .iter()
-            .filter(|&&(i, _)| i == id)
-            .map(|&(_, o)| o)
+            .pairs()
+            .filter(|&(i, _)| i == id)
+            .map(|(_, o)| o)
             .collect(),
         ProvAssoc::Binary(v) => v
             .iter()
@@ -258,7 +258,7 @@ fn naive_expr(run: &CapturedRun, oid: OpId, id: ItemId) -> Result<NaiveExpr> {
             NaiveExpr::Var((oid, index))
         }
         ProvAssoc::Unary(v) => {
-            let &(input, _) = v.iter().find(|&&(_, o)| o == id).ok_or_else(missing)?;
+            let (input, _) = v.pairs().find(|&(_, o)| o == id).ok_or_else(missing)?;
             naive_expr(run, pred(0)?, input)?
         }
         ProvAssoc::Binary(v) => {

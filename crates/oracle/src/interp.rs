@@ -22,7 +22,7 @@
 //! engine at `partitions: 1` bit-for-bit, and against other partition
 //! counts modulo identifiers.
 
-use pebble_core::{CapturedRun, InputProv, OperatorProvenance, ProvAssoc};
+use pebble_core::{CapturedRun, InputProv, OperatorProvenance, ProvAssoc, UnaryRuns};
 use pebble_dataflow::{
     op::merge_item_schemas, AggFunc, AggSpec, Context, EngineError, ExecConfig, GroupKey, ItemId,
     NamedExpr, OpId, OpKind, Program, Result, Row, RunOutput, RunReport,
@@ -152,7 +152,7 @@ fn ref_per_row(
     body: impl Fn(&DataItem) -> Option<DataItem>,
 ) -> (Parts, ProvAssoc) {
     let mut parts = Vec::with_capacity(input.len());
-    let mut assoc = Vec::new();
+    let mut assoc = UnaryRuns::new();
     for (pidx, partition) in input.iter().enumerate() {
         let mut seq = 0u32;
         let mut out = Vec::new();
@@ -160,7 +160,7 @@ fn ref_per_row(
             if let Some(item) = body(&row.item) {
                 let id = make_id(op, pidx, seq);
                 seq += 1;
-                assoc.push((row.id, id));
+                assoc.push(row.id, id);
                 out.push(Row { id, item });
             }
         }

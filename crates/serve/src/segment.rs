@@ -12,9 +12,9 @@
 //! chunks (the streaming writer emits one per captured batch), which the
 //! loader concatenates in order. Identifier sequences are delta-encoded;
 //! unary tables are additionally run-length encoded — a contiguous
-//! `⟨in+k, out+k⟩` range costs a handful of bytes regardless of length
-//! (the `StageAssoc::Run` ranges of the columnar path map 1:1 onto run
-//! tokens via [`SegmentSink::unary_run`]).
+//! `⟨in+k, out+k⟩` range costs a handful of bytes regardless of length.
+//! The tokens are [`UnaryRuns`]' own runs, written and read without
+//! expanding a pair: runs that abut across chunks coalesce on load.
 //!
 //! The version byte pair is *outside* any checksum on purpose: a reader
 //! must be able to reject a future version with a typed error before it
@@ -22,7 +22,7 @@
 
 use std::sync::Mutex;
 
-use pebble_core::{OperatorProvenance, ProvAssoc};
+use pebble_core::{OperatorProvenance, ProvAssoc, UnaryRuns};
 use pebble_dataflow::{ItemId, OpId, ProvenanceSink};
 use pebble_nested::encode::{get_signed, get_u8, get_varint, put_signed, put_varint};
 
@@ -174,52 +174,13 @@ pub fn chunk_read(op: OpId, ids: &[ItemId]) -> Vec<u8> {
     buf
 }
 
-/// Encodes one chunk of a unary table as run-length tokens: maximal
-/// `⟨in+k, out+k⟩` ranges become one `len · Δin · Δout` token each.
-pub fn chunk_unary(op: OpId, pairs: &[(ItemId, ItemId)]) -> Vec<u8> {
-    // Find maximal runs first so the token count can be length-prefixed.
-    let mut runs: Vec<(usize, u64)> = Vec::new(); // (start index, len)
-    let mut i = 0;
-    while i < pairs.len() {
-        let mut len = 1u64;
-        while i + (len as usize) < pairs.len() {
-            let (pi, po) = pairs[i + len as usize - 1];
-            let (ni, no) = pairs[i + len as usize];
-            if ni == pi.wrapping_add(1) && no == po.wrapping_add(1) {
-                len += 1;
-            } else {
-                break;
-            }
-        }
-        runs.push((i, len));
-        i += len as usize;
-    }
-    let mut buf = Vec::with_capacity(runs.len() * 6 + 8);
+/// Encodes one chunk of a unary table as run-length tokens: each maximal
+/// `⟨in+k, out+k⟩` run is one `len · Δin · Δout` token.
+pub fn chunk_unary(op: OpId, runs: &UnaryRuns) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(runs.run_count() * 6 + 8);
     put_varint(&mut buf, op as u64);
     buf.push(1);
-    put_varint(&mut buf, runs.len() as u64);
-    let (mut prev_in, mut prev_out) = (0u64, 0u64);
-    for &(start, len) in &runs {
-        let (first_in, first_out) = pairs[start];
-        put_varint(&mut buf, len);
-        put_signed(&mut buf, first_in.wrapping_sub(prev_in) as i64);
-        put_signed(&mut buf, first_out.wrapping_sub(prev_out) as i64);
-        prev_in = first_in.wrapping_add(len - 1);
-        prev_out = first_out.wrapping_add(len - 1);
-    }
-    buf
-}
-
-/// Encodes a contiguous unary run directly — a single token, no
-/// materialized pairs (the shape the columnar executor emits).
-pub fn chunk_unary_run(op: OpId, in_first: ItemId, out_first: ItemId, len: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16);
-    put_varint(&mut buf, op as u64);
-    buf.push(1);
-    put_varint(&mut buf, 1);
-    put_varint(&mut buf, len);
-    put_signed(&mut buf, in_first as i64);
-    put_signed(&mut buf, out_first as i64);
+    runs.put_tokens(&mut buf);
     buf
 }
 
@@ -297,7 +258,7 @@ pub fn chunk_table(op: &OperatorProvenance) -> Vec<u8> {
 ///
 /// `max_entries` bounds any one table: a run token is a handful of bytes
 /// however long its run, so its length must be checked against something
-/// other than the chunk before pairs are allocated for it. Callers pass the
+/// other than the chunk before the table grows by it. Callers pass the
 /// segment's byte length — every association entry also costs at least one
 /// byte in the `INDEX` block, so no table of a well-formed segment holds
 /// more entries than the segment has bytes.
@@ -316,28 +277,7 @@ pub fn apply_chunk(
         (0, ProvAssoc::Read(ids)) => {
             ids.extend(pebble_nested::encode::get_ids_delta(buf)?);
         }
-        (1, ProvAssoc::Unary(pairs)) => {
-            let tokens = get_varint(buf)?;
-            let (mut prev_in, mut prev_out) = (0u64, 0u64);
-            for _ in 0..tokens {
-                let len = get_varint(buf)?;
-                if len == 0 {
-                    return Err(StoreError::Corrupt("empty unary run token".into()));
-                }
-                if len > (max_entries as u64).saturating_sub(pairs.len() as u64) {
-                    // The table would outgrow the segment that claims to
-                    // hold it — reject before allocating.
-                    return Err(StoreError::Corrupt("absurd unary run length".into()));
-                }
-                let first_in = prev_in.wrapping_add(get_signed(buf)? as u64);
-                let first_out = prev_out.wrapping_add(get_signed(buf)? as u64);
-                for k in 0..len {
-                    pairs.push((first_in.wrapping_add(k), first_out.wrapping_add(k)));
-                }
-                prev_in = first_in.wrapping_add(len - 1);
-                prev_out = first_out.wrapping_add(len - 1);
-            }
-        }
+        (1, ProvAssoc::Unary(runs)) => runs.get_tokens(buf, max_entries)?,
         (2, ProvAssoc::Binary(triples)) => {
             let n = get_varint(buf)? as usize;
             if buf.len() < n {
@@ -445,12 +385,8 @@ impl ProvenanceSink for SegmentSink {
         self.push(chunk_read(op, ids));
     }
 
-    fn unary_batch(&self, op: OpId, assoc: &[(ItemId, ItemId)]) {
-        self.push(chunk_unary(op, assoc));
-    }
-
-    fn unary_run(&self, op: OpId, in_first: ItemId, out_first: ItemId, len: u64) {
-        self.push(chunk_unary_run(op, in_first, out_first, len));
+    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
+        self.push(chunk_unary(op, runs));
     }
 
     fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {
@@ -535,18 +471,19 @@ mod tests {
         // Two runs: 100..1100 and a lone pair.
         let mut pairs: Vec<(u64, u64)> = (0..1000).map(|k| (100 + k, 5000 + k)).collect();
         pairs.push((9999, 12));
-        let chunk = chunk_unary(op, &pairs);
+        let runs = UnaryRuns::from_pairs(pairs.iter().copied());
+        let chunk = chunk_unary(op, &runs);
         assert!(chunk.len() < 32, "RLE chunk is {} bytes", chunk.len());
         let mut ops = vec![OperatorProvenance {
             oid: op,
             op_type: "filter".into(),
             inputs: vec![],
             manipulated: None,
-            assoc: ProvAssoc::Unary(Vec::new()),
+            assoc: ProvAssoc::Unary(UnaryRuns::new()),
         }];
         apply_chunk(&chunk, &mut ops, pairs.len()).unwrap();
         match &ops[0].assoc {
-            ProvAssoc::Unary(v) => assert_eq!(*v, pairs),
+            ProvAssoc::Unary(v) => assert_eq!(v.pairs().collect::<Vec<_>>(), pairs),
             other => panic!("wrong kind: {other:?}"),
         }
     }
@@ -557,7 +494,7 @@ mod tests {
             op_type: "select".into(),
             inputs: vec![],
             manipulated: None,
-            assoc: ProvAssoc::Unary(Vec::new()),
+            assoc: ProvAssoc::Unary(UnaryRuns::new()),
         }]
     }
 
@@ -566,24 +503,28 @@ mod tests {
     #[test]
     fn long_single_token_run_round_trips() {
         const N: u64 = 2_000_000;
-        let chunk = chunk_unary_run(0, 0, 1 << 48, N);
+        let chunk = chunk_unary(0, &UnaryRuns::run(0, 1 << 48, N));
         assert!(chunk.len() < 20, "run chunk is {} bytes", chunk.len());
         let mut ops = unary_op();
         apply_chunk(&chunk, &mut ops, N as usize).unwrap();
         let ProvAssoc::Unary(v) = &ops[0].assoc else {
             panic!("wrong kind");
         };
-        assert_eq!(v.len(), N as usize);
-        assert_eq!(v[0], (0, 1 << 48));
-        assert_eq!(v[N as usize - 1], (N - 1, (1 << 48) + N - 1));
+        assert_eq!((v.len(), v.run_count()), (N as usize, 1));
+        assert_eq!(v.get(0), Some((0, 1 << 48)));
+        assert_eq!(v.get(N as usize - 1), Some((N - 1, (1 << 48) + N - 1)));
         // The bound counts what earlier chunks already appended.
-        let err = apply_chunk(&chunk_unary_run(0, N, 0, 1), &mut ops, N as usize);
+        let err = apply_chunk(
+            &chunk_unary(0, &UnaryRuns::run(N, 0, 1)),
+            &mut ops,
+            N as usize,
+        );
         assert!(matches!(err, Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn run_longer_than_its_segment_is_rejected_before_allocating() {
-        let chunk = chunk_unary_run(0, 0, 0, 1 << 40);
+        let chunk = chunk_unary(0, &UnaryRuns::run(0, 0, 1 << 40));
         assert!(chunk.len() < 30);
         let mut ops = unary_op();
         let err = apply_chunk(&chunk, &mut ops, 30).unwrap_err();
@@ -595,7 +536,7 @@ mod tests {
         let ProvAssoc::Unary(v) = &ops[0].assoc else {
             panic!("wrong kind");
         };
-        assert_eq!(v.capacity(), 0, "nothing allocated");
+        assert!(v.is_empty(), "nothing appended");
     }
 
     #[test]
@@ -609,7 +550,10 @@ mod tests {
         };
         let originals = vec![
             mk(0, ProvAssoc::Read(vec![7, 8, 9, 1 << 48])),
-            mk(1, ProvAssoc::Unary(vec![(1, 10), (2, 11), (5, 40)])),
+            mk(
+                1,
+                ProvAssoc::Unary(UnaryRuns::from_pairs([(1, 10), (2, 11), (5, 40)])),
+            ),
             mk(
                 2,
                 ProvAssoc::Binary(vec![
@@ -632,7 +576,7 @@ mod tests {
             .map(|o| {
                 let empty = match &o.assoc {
                     ProvAssoc::Read(_) => ProvAssoc::Read(vec![]),
-                    ProvAssoc::Unary(_) => ProvAssoc::Unary(vec![]),
+                    ProvAssoc::Unary(_) => ProvAssoc::Unary(UnaryRuns::new()),
                     ProvAssoc::Binary(_) => ProvAssoc::Binary(vec![]),
                     ProvAssoc::Flatten(_) => ProvAssoc::Flatten(vec![]),
                     ProvAssoc::Agg(_) => ProvAssoc::Agg(vec![]),
@@ -662,7 +606,7 @@ mod tests {
             op_type: "filter".into(),
             inputs: vec![],
             manipulated: None,
-            assoc: ProvAssoc::Unary(vec![]),
+            assoc: ProvAssoc::Unary(UnaryRuns::new()),
         }];
         assert!(matches!(
             apply_chunk(&chunk, &mut ops, 64),
@@ -679,8 +623,8 @@ mod tests {
     #[test]
     fn streaming_sink_equals_posthoc_chunks() {
         let sink = SegmentSink::new();
-        sink.unary_batch(2, &[(10, 20), (11, 21)]);
-        sink.unary_run(2, 12, 22, 5);
+        sink.unary_runs(2, &UnaryRuns::from_pairs([(10, 20), (11, 21)]));
+        sink.unary_runs(2, &UnaryRuns::run(12, 22, 5));
         sink.read_batch(0, &[1, 2, 3]);
         let blocks = sink.into_blocks();
         // Decode the streamed blocks back through the block iterator.
@@ -700,14 +644,14 @@ mod tests {
                 op_type: "x".into(),
                 inputs: vec![],
                 manipulated: None,
-                assoc: ProvAssoc::Unary(vec![]),
+                assoc: ProvAssoc::Unary(UnaryRuns::new()),
             },
             OperatorProvenance {
                 oid: 2,
                 op_type: "filter".into(),
                 inputs: vec![],
                 manipulated: None,
-                assoc: ProvAssoc::Unary(vec![]),
+                assoc: ProvAssoc::Unary(UnaryRuns::new()),
             },
         ];
         let mut it = BlockIter::parse(&seg).unwrap();
@@ -726,7 +670,8 @@ mod tests {
                     (15, 25),
                     (16, 26),
                 ];
-                assert_eq!(*v, expect);
+                assert_eq!(v.pairs().collect::<Vec<_>>(), expect);
+                assert_eq!(v.run_count(), 1, "runs coalesce across chunks");
             }
             other => panic!("wrong kind: {other:?}"),
         }

@@ -12,7 +12,7 @@ use std::path::Path as FsPath;
 
 use pebble_core::{
     backtrace_from, Backtrace, BacktraceIndex, CapturedRun, InputProv, OperatorProvenance,
-    ProvAssoc, ProvTree, ProvView, SourceProvenance,
+    ProvAssoc, ProvTree, ProvView, SourceProvenance, UnaryRuns,
 };
 use pebble_dataflow::{EngineError, ItemId, OpId, Row};
 use pebble_nested::encode::{
@@ -42,7 +42,7 @@ fn assoc_kind(assoc: &ProvAssoc) -> u8 {
 fn empty_assoc(kind: u8) -> Result<ProvAssoc, StoreError> {
     Ok(match kind {
         0 => ProvAssoc::Read(Vec::new()),
-        1 => ProvAssoc::Unary(Vec::new()),
+        1 => ProvAssoc::Unary(UnaryRuns::new()),
         2 => ProvAssoc::Binary(Vec::new()),
         3 => ProvAssoc::Flatten(Vec::new()),
         4 => ProvAssoc::Agg(Vec::new()),
@@ -180,7 +180,8 @@ fn encode_rows(rows: &[Row], out: &mut Vec<u8>) {
 /// True when a table's output ids never decrease in table order. Ids are
 /// dense and monotone per operator and emission is partition-ordered, so
 /// this is the common case — and the stable sort behind
-/// [`BacktraceIndex::permutation`] is then the identity.
+/// [`BacktraceIndex::permutation`] is then the identity. A unary table is
+/// checked run by run.
 fn out_ids_sorted(assoc: &ProvAssoc) -> bool {
     fn sorted(mut ids: impl Iterator<Item = ItemId>) -> bool {
         let mut prev = 0;
@@ -192,7 +193,7 @@ fn out_ids_sorted(assoc: &ProvAssoc) -> bool {
     }
     match assoc {
         ProvAssoc::Read(v) => sorted(v.iter().copied()),
-        ProvAssoc::Unary(v) => sorted(v.iter().map(|e| e.1)),
+        ProvAssoc::Unary(v) => v.out_ids_ascend(false),
         ProvAssoc::Binary(v) => sorted(v.iter().map(|e| e.2)),
         ProvAssoc::Flatten(v) => sorted(v.iter().map(|e| e.2)),
         ProvAssoc::Agg(v) => sorted(v.iter().map(|e| e.1)),
@@ -249,15 +250,57 @@ fn encode_tail(run: &CapturedRun, out: &mut Vec<u8>) {
     frame_block(out, BLOCK_END, &[]);
 }
 
+/// Runs `helper` on a scoped thread while the calling thread runs `main`,
+/// and returns both results. Both run inline on one CPU, and `helper` does
+/// when its thread cannot be spawned; a panic in it resumes on the caller.
+fn beside<A: Send, B>(
+    helper: impl FnOnce() -> A + Send + Copy,
+    main: impl FnOnce() -> B,
+) -> (A, B) {
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    std::thread::scope(|scope| {
+        let spawned = parallel
+            .then(|| std::thread::Builder::new().spawn_scoped(scope, helper).ok())
+            .flatten();
+        let b = main();
+        let a = match spawned {
+            Some(spawned) => spawned
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            None => helper(),
+        };
+        (a, b)
+    })
+}
+
 /// Serializes a captured run into segment bytes (post-hoc: association
 /// tables are chunked from the in-memory capture, one chunk per operator).
+///
+/// Two tasks encode: the calling thread encodes `ROWS`, the largest block,
+/// while a helper encodes the blocks before it and those after it
+/// ([`beside`]); the parts are joined in file order.
 pub fn persist(run: &CapturedRun) -> Vec<u8> {
-    let mut out = segment_header();
-    encode_static(run, &mut out);
-    for op in &run.ops {
-        frame_block(&mut out, BLOCK_ASSOC, &chunk_table(op));
+    let others = || {
+        let mut head = segment_header();
+        encode_static(run, &mut head);
+        for op in &run.ops {
+            frame_block(&mut head, BLOCK_ASSOC, &chunk_table(op));
+        }
+        let mut tail = Vec::new();
+        encode_index(&run.ops, &mut tail);
+        frame_block(&mut tail, BLOCK_END, &[]);
+        (head, tail)
+    };
+    let rows = || {
+        let mut rows = Vec::new();
+        encode_rows(&run.output.rows, &mut rows);
+        rows
+    };
+    let ((head, tail), rows) = beside(others, rows);
+    let mut out = Vec::with_capacity(head.len() + rows.len() + tail.len());
+    for part in [head, rows, tail] {
+        out.extend_from_slice(&part);
     }
-    encode_tail(run, &mut out);
     out
 }
 
@@ -358,9 +401,9 @@ impl ProvStore {
     ///
     /// The framing is walked first. Then two tasks verify and decode the
     /// blocks, each block's checksum checked by the task that reads it: a
-    /// scoped helper thread takes every block but `ROWS`, in file order,
-    /// and validates the index orders, while the calling thread decodes
-    /// `ROWS` (both run inline on one CPU). The error reported is the one of
+    /// helper takes every block but `ROWS`, in file order, and validates
+    /// the index orders, while the calling thread decodes `ROWS`
+    /// ([`beside`]). The error reported is the one of
     /// the earliest failing block, as a serial walk would report it; a
     /// framing error counts at its position, and the cross-block checks
     /// come last.
@@ -374,23 +417,10 @@ impl ProvStore {
                 Err(e) => break Some((frames.len(), e)),
             }
         };
-        let tables = || decode_tables(&frames, bytes.len());
-        let rows = || decode_rows_blocks(&frames);
-        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        // A helper thread that cannot be spawned leaves the work inline.
-        let (tables, rows) = std::thread::scope(|scope| {
-            let helper = parallel
-                .then(|| std::thread::Builder::new().spawn_scoped(scope, tables).ok())
-                .flatten();
-            let rows = rows();
-            let tables = match helper {
-                Some(helper) => helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                None => tables(),
-            };
-            (tables, rows)
-        });
+        let (tables, rows) = beside(
+            || decode_tables(&frames, bytes.len()),
+            || decode_rows_blocks(&frames),
+        );
         match (tables, rows, framing) {
             (Ok(tables), Ok(rows), None) => finish(tables, rows, bytes.len()),
             (tables, rows, framing) => {
@@ -701,10 +731,47 @@ fn decode_rows(mut payload: &[u8]) -> Result<Vec<Row>, StoreError> {
     Ok(rows)
 }
 
+/// How many of the positions `0..len` open `buf` as the varints
+/// [`put_identity`] writes, and the bytes they take: the identity check of
+/// an `INDEX` entry one width class at a time, with no varint decoded.
+fn identity_prefix(buf: &[u8], len: usize) -> (usize, usize) {
+    /// How many of the `n` positions from `first` on, all `W` varint bytes
+    /// wide, lead `buf`.
+    fn class<const W: usize>(buf: &[u8], first: u64, n: usize) -> usize {
+        buf[..n * W]
+            .chunks_exact(W)
+            .zip(first..)
+            .take_while(|(bytes, p)| {
+                (0..W).all(|k| {
+                    let more = if k + 1 < W { 0x80 } else { 0 };
+                    bytes[k] == (p >> (7 * k)) as u8 | more
+                })
+            })
+            .count()
+    }
+    let (mut j, mut at) = (0, 0);
+    for width in 1..=3 {
+        let end = len.min(1 << (7 * width));
+        let n = end.saturating_sub(j).min((buf.len() - at) / width);
+        let rest = &buf[at..];
+        let matched = match width {
+            1 => class::<1>(rest, j as u64, n),
+            2 => class::<2>(rest, j as u64, n),
+            _ => class::<3>(rest, j as u64, n),
+        };
+        j += matched;
+        at += matched * width;
+        if j < end {
+            break;
+        }
+    }
+    (j, at)
+}
+
 /// Decodes the `INDEX` block. An entry that lists its table's positions in
-/// order (every entry the engine's tables produce) stays a length: a
-/// permutation is materialised only from an entry's first out-of-order
-/// position.
+/// order (every entry the engine's tables produce) stays a length, checked
+/// by [`identity_prefix`]: a permutation is materialised only from an
+/// entry's first out-of-order position.
 fn decode_index(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
     if p.orders.is_some() {
         return Err(StoreError::Corrupt("duplicate index block".into()));
@@ -720,8 +787,10 @@ fn decode_index(mut payload: &[u8], p: &mut Tables) -> Result<(), StoreError> {
         if buf.len() < len {
             return Err(StoreError::Truncated("index permutation".into()));
         }
+        let (identity, used) = identity_prefix(buf, len);
+        *buf = &buf[used..];
         let mut perm: Option<Vec<u32>> = None;
-        for j in 0..len {
+        for j in identity..len {
             let v = get_varint(buf)?;
             if v > u32::MAX as u64 {
                 return Err(StoreError::Corrupt(
@@ -898,11 +967,46 @@ mod tests {
         );
         let s = b.select(g, vec![NamedExpr::aliased("n", "n")]);
         let run = run_captured(&b.build(s), &ctx, ExecConfig::with_partitions(3)).unwrap();
-        let ProvAssoc::Unary(pairs) = &run.ops[2].assoc else {
+        let ProvAssoc::Unary(runs) = &run.ops[2].assoc else {
             panic!("select carries a unary table");
         };
+        let pairs: Vec<_> = runs.pairs().collect();
         assert!(pairs.len() > 3 && pairs.windows(2).any(|w| w[1].0 < w[0].0));
         assert_index_is_permutation(&run.ops, "group-by → select");
+    }
+
+    #[test]
+    fn identity_prefix_reads_what_put_identity_writes() {
+        for n in [
+            0,
+            1,
+            127,
+            128,
+            129,
+            (1 << 14) - 1,
+            1 << 14,
+            (1 << 14) + 9,
+            (1 << 21) + 3,
+        ] {
+            let mut buf = Vec::new();
+            put_identity(&mut buf, n as u64);
+            // Positions from 2^21 on are left to the varint loop.
+            let checked = n.min(1 << 21);
+            let mut head = Vec::new();
+            put_identity(&mut head, checked as u64);
+            assert_eq!(identity_prefix(&buf, n), (checked, head.len()), "n = {n}");
+            if n == 0 {
+                continue;
+            }
+            // A wrong position, or a truncated buffer, ends the prefix.
+            for at in [0, n / 2, n - 1].map(|at: usize| at.min(checked - 1)) {
+                let mut bad = Vec::new();
+                put_identity(&mut bad, at as u64);
+                put_varint(&mut bad, at as u64 + 1);
+                assert_eq!(identity_prefix(&bad, n).0, at, "n = {n}, at {at}");
+            }
+            assert_eq!(identity_prefix(&head[..head.len() - 1], n).0, checked - 1);
+        }
     }
 
     #[test]
@@ -937,7 +1041,7 @@ mod tests {
             op(0, ProvAssoc::Read(vec![9, 8, 7, 3])),
             op(
                 1,
-                ProvAssoc::Unary(vec![(1, 30), (2, 10), (3, 20), (4, 10)]),
+                ProvAssoc::Unary(UnaryRuns::from_pairs([(1, 30), (2, 10), (3, 20), (4, 10)])),
             ),
             op(
                 2,
@@ -945,8 +1049,11 @@ mod tests {
             ),
             op(3, ProvAssoc::Flatten(vec![(1, 1, 2), (1, 2, 1), (2, 1, 3)])),
             op(4, ProvAssoc::Agg(vec![(vec![1, 2], 7), (vec![3], 6)])),
-            op(5, ProvAssoc::Unary(vec![(1, 5), (2, 5), (3, 6)])),
-            op(6, ProvAssoc::Unary(vec![])),
+            op(
+                5,
+                ProvAssoc::Unary(UnaryRuns::from_pairs([(1, 5), (2, 5), (3, 6)])),
+            ),
+            op(6, ProvAssoc::Unary(UnaryRuns::new())),
         ];
         for o in &ops[..5] {
             assert!(!out_ids_sorted(&o.assoc), "operator #{}", o.oid);

@@ -4,11 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use pebble_core::{run_captured, CapturedRun, ProvAssoc};
+use pebble_core::{run_captured, CapturedRun, ProvAssoc, UnaryRuns};
 use pebble_dataflow::ExecConfig;
 use pebble_nested::encode::{put_signed, put_str, put_varint};
 use pebble_serve::segment::{
-    frame_block, segment_header, BLOCK_ASSOC, BLOCK_END, BLOCK_INDEX, BLOCK_META, BLOCK_ROWS,
+    chunk_unary, frame_block, segment_header, BLOCK_ASSOC, BLOCK_END, BLOCK_INDEX, BLOCK_META,
+    BLOCK_ROWS,
 };
 use pebble_serve::{persist, ProvStore, StoreError};
 use pebble_workloads::running_example;
@@ -414,7 +415,10 @@ fn identity_index_for_a_descending_table_is_corrupt() {
         .position(|op| op.assoc.len() > 1 && !matches!(op.assoc, ProvAssoc::Read(_)))
         .unwrap();
     match &mut run.ops[op].assoc {
-        ProvAssoc::Unary(v) => v.reverse(),
+        ProvAssoc::Unary(v) => {
+            let pairs: Vec<_> = v.pairs().collect();
+            *v = UnaryRuns::from_pairs(pairs.into_iter().rev());
+        }
         ProvAssoc::Binary(v) => v.reverse(),
         ProvAssoc::Flatten(v) => v.reverse(),
         ProvAssoc::Agg(v) => v.reverse(),
@@ -422,6 +426,18 @@ fn identity_index_for_a_descending_table_is_corrupt() {
     }
     let mut segment = blocks(&persist(&run));
     assert!(ProvStore::from_bytes(&seal(&segment)).is_ok());
+    let index = segment.iter().position(|(t, _)| *t == BLOCK_INDEX).unwrap();
+    segment[index].1 = identity_index(&run);
+    assert_eq!(
+        ProvStore::from_bytes(&seal(&segment)).unwrap_err(),
+        StoreError::Corrupt(format!(
+            "backtrace failed: prepared index for operator #{op} is not sorted by output identifier"
+        ))
+    );
+}
+
+/// The `INDEX` payload claiming the identity for every table of `run`.
+fn identity_index(run: &CapturedRun) -> Vec<u8> {
     let mut identity = Vec::new();
     put_varint(&mut identity, run.ops.len() as u64);
     for op in &run.ops {
@@ -430,12 +446,44 @@ fn identity_index_for_a_descending_table_is_corrupt() {
             put_varint(&mut identity, j as u64);
         }
     }
+    identity
+}
+
+/// A unary table in two `ASSOC` chunks that each ascend, the second's
+/// output ids restarting below the first's: the runs of each chunk are in
+/// order, the table is not, and an identity `INDEX` entry for it is corrupt.
+#[test]
+fn identity_index_for_a_unary_table_restarting_across_chunks_is_corrupt() {
+    let run = base_run();
+    let (op, pairs) = run
+        .ops
+        .iter()
+        .enumerate()
+        .find_map(|(op, o)| match &o.assoc {
+            ProvAssoc::Unary(v) if v.len() > 1 => Some((op, v.pairs().collect::<Vec<_>>())),
+            _ => None,
+        })
+        .unwrap();
+    let (low, high) = pairs.split_at(pairs.len() / 2);
+    let chunk = |half: &[(u64, u64)]| chunk_unary(op as u32, &UnaryRuns::from_pairs(half.to_vec()));
+    let mut segment = blocks(&persist(&run));
+    let at = segment
+        .iter()
+        .position(|(t, payload)| *t == BLOCK_ASSOC && payload[0] == op as u8)
+        .unwrap();
+    segment[at].1 = chunk(high);
+    segment.insert(at + 1, (BLOCK_ASSOC, chunk(low)));
     let index = segment.iter().position(|(t, _)| *t == BLOCK_INDEX).unwrap();
-    segment[index].1 = identity;
+    segment[index].1 = identity_index(&run);
     assert_eq!(
         ProvStore::from_bytes(&seal(&segment)).unwrap_err(),
         StoreError::Corrupt(format!(
             "backtrace failed: prepared index for operator #{op} is not sorted by output identifier"
         ))
     );
+    // The same chunks in table order load.
+    segment[at].1 = chunk(low);
+    segment[at + 1].1 = chunk(high);
+    let store = ProvStore::from_bytes(&seal(&segment)).unwrap();
+    assert_eq!(store.ops()[op].assoc, run.ops[op].assoc);
 }

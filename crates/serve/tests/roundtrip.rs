@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pebble_core::{
     backtrace, canonical_provenance, run_captured, run_captured_with, Backtrace, CapturedRun,
-    ProvAssoc, ProvTree,
+    ProvAssoc, ProvTree, UnaryRuns,
 };
 use pebble_dataflow::{Context, ExecConfig, NamedExpr, Program, ProgramBuilder};
 use pebble_nested::encode::get_varint;
@@ -143,7 +143,11 @@ fn shuffled_tables_answer_like_the_engines() {
                 moved += usize::from(!read && op.assoc.len() > 1);
                 match &mut op.assoc {
                     ProvAssoc::Read(_) => {}
-                    ProvAssoc::Unary(v) => shuffle(v, &mut rng),
+                    ProvAssoc::Unary(v) => {
+                        let mut pairs: Vec<_> = v.pairs().collect();
+                        shuffle(&mut pairs, &mut rng);
+                        *v = UnaryRuns::from_pairs(pairs);
+                    }
                     ProvAssoc::Binary(v) => shuffle(v, &mut rng),
                     ProvAssoc::Flatten(v) => shuffle(v, &mut rng),
                     ProvAssoc::Agg(v) => shuffle(v, &mut rng),

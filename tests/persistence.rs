@@ -3,7 +3,7 @@
 //! store returns the same answers as over the live capture — at every
 //! shape of `ExecMatrix::suite(3)`.
 
-use pebble::core::{backtrace, run_captured, CapturedRun, ProvAssoc};
+use pebble::core::{backtrace, run_captured, CapturedRun, ProvAssoc, UnaryRuns};
 use pebble::dataflow::{Context, ExecMatrix};
 use pebble::serve::{persist, ProvStore};
 use pebble::workloads::{
@@ -45,7 +45,7 @@ fn without_associations(mut run: CapturedRun) -> CapturedRun {
     for op in &mut run.ops {
         op.assoc = match op.assoc {
             ProvAssoc::Read(_) => ProvAssoc::Read(Vec::new()),
-            ProvAssoc::Unary(_) => ProvAssoc::Unary(Vec::new()),
+            ProvAssoc::Unary(_) => ProvAssoc::Unary(UnaryRuns::new()),
             ProvAssoc::Binary(_) => ProvAssoc::Binary(Vec::new()),
             ProvAssoc::Flatten(_) => ProvAssoc::Flatten(Vec::new()),
             ProvAssoc::Agg(_) => ProvAssoc::Agg(Vec::new()),
