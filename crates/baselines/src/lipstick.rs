@@ -21,7 +21,8 @@ pub struct AnnotatedDataset {
 
 impl AnnotatedDataset {
     /// Annotates a dataset, enumerating every nested value.
-    pub fn annotate(items: &[DataItem]) -> Self {
+    #[cfg(test)]
+    fn annotate(items: &[DataItem]) -> Self {
         let mut annotations = Vec::new();
         for (idx, item) in items.iter().enumerate() {
             // The top-level item itself…

@@ -8,7 +8,7 @@
 //! 1. a `STATS` snapshot parses as versioned JSON with the documented
 //!    shape (schema version, pool gauges, per-kind request sections);
 //! 2. after a closed-loop run, the **delta** between the post- and
-//!    pre-load snapshots matches the client-side [`LoadReport`] count for
+//!    pre-load snapshots matches the client-side [`pebble_workloads::LoadReport`] count for
 //!    every server-bound request kind *exactly* — the server completed
 //!    precisely the requests the clients observed, none lost, none
 //!    double-counted (`finish` happens before the terminal frame is

@@ -163,7 +163,8 @@ impl AuditReport {
     }
 
     /// Items with at least one leaked attribute.
-    pub fn leaked_items(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn leaked_items(&self) -> Vec<usize> {
         self.leaked.keys().copied().collect()
     }
 }

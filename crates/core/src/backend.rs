@@ -13,11 +13,11 @@
 //!
 //! Shipped backends:
 //!
-//! * `structural` — the paper's backward tracing ([`crate::backtrace`]):
+//! * `structural` — the paper's backward tracing ([`mod@crate::backtrace`]):
 //!   `BACKTRACE <row>` and `PATTERN <tree-pattern>`;
 //! * `whynot` — missing-answer explanations ([`crate::whynot`]):
 //!   `WHYNOT path=value[,path=value…]`;
-//! * `semiring` — N[X] provenance polynomials with a probability hook
+//! * `semiring` — `N[X]` provenance polynomials with a probability hook
 //!   ([`crate::semiring`]): `POLY <row>`, `COUNT <row>`, `PROB <row>`.
 //!
 //! `pebble-baselines` ports its comparison systems (Titian lineage, lazy
@@ -156,7 +156,7 @@ impl PreparedBackend for PreparedWhyNot<'_> {
     }
 }
 
-/// N[X] semiring polynomials as a backend.
+/// `N[X]` semiring polynomials as a backend.
 pub struct SemiringBackend;
 
 struct PreparedSemiring<'r> {

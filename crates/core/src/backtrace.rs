@@ -74,7 +74,7 @@ impl SourceProvenance {
     /// indexes and backtracing trees do not. Comparing canonical entries is
     /// how the metamorphic tests and the differential oracle check that
     /// backtracing results are invariant under partitioning and fusion.
-    pub fn canonical_entries(&self) -> Vec<(String, usize, String)> {
+    fn canonical_entries(&self) -> Vec<(String, usize, String)> {
         // Entries share one allocation per distinct tree, so each
         // allocation is rendered once; `self` keeps them all alive.
         let mut rendered: FxHashMap<usize, String> = FxHashMap::default();
@@ -93,9 +93,9 @@ impl SourceProvenance {
     }
 }
 
-/// Canonicalizes a whole backtracing answer (see
-/// [`SourceProvenance::canonical_entries`]): entries of every source,
-/// sorted by `(source, index)`.
+/// Canonicalizes a whole backtracing answer: the identifier-free
+/// `(source, dataset index, rendered tree)` entries of every source, sorted
+/// by `(source, index)`.
 pub fn canonical_provenance(sources: &[SourceProvenance]) -> Vec<(String, usize, String)> {
     let mut out: Vec<(String, usize, String)> = sources
         .iter()
@@ -1170,7 +1170,6 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
             .unwrap_or_default()
     };
     let input_schema = view.input_schema_of(p.oid, side);
-    let side_fields = field_names(side);
     // Split M by *output* attribute: result attribute names are unique —
     // left fields keep their names, clashing right fields are renamed — so
     // a mapping belongs to the left side iff its output attribute is a
@@ -1190,6 +1189,17 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
         })
         .cloned()
         .collect();
+    // The output roots this side produced. A root the other side produced
+    // may share its name with one of this side's *input* attributes (a
+    // self-join), so the tree is pruned by output name before the renames
+    // are undone.
+    let owned: Vec<&str> = ms
+        .iter()
+        .filter_map(|(_, m_out)| match m_out.head() {
+            Some(Step::Attr(a)) => Some(a.as_str()),
+            _ => None,
+        })
+        .collect();
     let accesses = expanded_accesses(
         p.inputs[side].accessed.iter().flatten(),
         input_schema,
@@ -1205,9 +1215,8 @@ fn backtrace_join_side<V: ProvView + ?Sized>(
             input_id.map(|input_id| (input_id, ()))
         },
         |t, ()| {
+            t.retain_roots(|name| owned.contains(&name));
             t.manipulate_paths(&ms, p.oid);
-            // Drop nodes that reference the other input's schema.
-            t.retain_roots(|name| side_fields.contains(&name));
             record_accesses(t, &accesses, p.oid);
         },
     ))

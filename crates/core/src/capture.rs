@@ -646,32 +646,9 @@ impl ProvenanceSink for CaptureSink {
 }
 
 /// Executes `program` with structural provenance capture enabled.
-///
-/// The engine is handed the bare `CaptureSink`, not a `Tee` with a no-op
-/// second arm: `Tee::agg_batch` clones every group's identifier vector.
 pub fn run_captured(program: &Program, ctx: &Context, config: ExecConfig) -> Result<CapturedRun> {
     let sink = CaptureSink::new(program, ctx, &config);
     let output = run(program, ctx, config, &sink)?;
-    finish_capture(program, sink, output)
-}
-
-/// Executes `program` with capture enabled, teeing every association batch
-/// into `extra` as well.
-///
-/// The in-memory capture stays the primary record; `extra` (e.g. a
-/// streaming segment writer) observes the identical batch sequence via
-/// [`pebble_dataflow::Tee`]. Association batches are emitted from the
-/// scheduler thread in a deterministic per-operator order, so what `extra`
-/// sees is reproducible run to run.
-pub fn run_captured_with<S: pebble_dataflow::ProvenanceSink>(
-    program: &Program,
-    ctx: &Context,
-    config: ExecConfig,
-    extra: &S,
-) -> Result<CapturedRun> {
-    let sink = CaptureSink::new(program, ctx, &config);
-    let tee = pebble_dataflow::Tee(&sink, extra);
-    let output = run(program, ctx, config, &tee)?;
     finish_capture(program, sink, output)
 }
 

@@ -36,8 +36,7 @@ pub use backtrace::{
 };
 pub use btree::{BNode, Backtrace, NodeLabel, ProvTree};
 pub use capture::{
-    run_captured, run_captured_observed, run_captured_with, CapturedRun, InputProv,
-    OperatorProvenance, ProvAssoc,
+    run_captured, run_captured_observed, CapturedRun, InputProv, OperatorProvenance, ProvAssoc,
 };
 pub use pattern::{EdgeKind, PatternNode, TreePattern, ValuePred};
 pub use pattern_parse::PatternParseError;

@@ -1,4 +1,4 @@
-//! Semiring provenance polynomials (N[X] how-provenance) over captured
+//! Semiring provenance polynomials (`N[X]` how-provenance) over captured
 //! association tables, with a probability-semiring evaluation hook.
 //!
 //! Following the ProvSQL line of work, each output *tuple* is annotated
@@ -14,7 +14,7 @@
 //! * `filter`/`select`/`map` are identity in the identifier algebra
 //!   (an opaque `map` still records its ⟨id^i, id^o⟩ association);
 //! * `join` multiplies both sides, `union` passes the present side;
-//! * `flatten` passes the collection owner (pure N[X] has no position
+//! * `flatten` passes the collection owner (pure `N[X]` has no position
 //!   marker — the structural position lives in Pebble's own tables);
 //! * aggregation multiplies all group members (joint derivation).
 //!
@@ -28,7 +28,7 @@
 //! semiring with **exact rational arithmetic**: each variable gets the
 //! deterministic probability `n_v/16` with `n_v = 1 + (5·read + 3·index
 //! mod 15)`, worlds are enumerated exhaustively (capped at
-//! [`MAX_PROB_VARS`] variables), and the result is a reduced fraction —
+//! `MAX_PROB_VARS` = 12 variables), and the result is a reduced fraction —
 //! no floating point, so the naive oracle reference (which evaluates the
 //! association-table *circuit* per world instead of the expanded
 //! polynomial) must agree to the last digit.
@@ -48,18 +48,19 @@ pub type Monomial = Vec<(SemiringVar, u32)>;
 
 /// Ceiling on the monomials a polynomial may hold; construction past it
 /// fails with [`poly_too_large`] instead of exhausting memory.
-pub const MAX_MONOMIALS: usize = 4096;
+const MAX_MONOMIALS: usize = 4096;
 
 /// Ceiling on the distinct variables a probability evaluation enumerates
 /// (2^vars worlds).
-pub const MAX_PROB_VARS: usize = 12;
+const MAX_PROB_VARS: usize = 12;
 
 /// Denominator of every variable probability (`n_v / 16`).
-pub const PROB_DENOM: u64 = 16;
+const PROB_DENOM: u64 = 16;
 
-/// Shared error constructors — both the engine and the oracle reference
-/// build their errors here so the `Display`s agree exactly.
-pub fn semiring_parse_error(detail: &str) -> EngineError {
+/// Error constructors. The oracle reference reaches them through the
+/// public entry points (`row_range_error`, `probability_by`, …), so the
+/// `Display`s agree exactly.
+fn semiring_parse_error(detail: &str) -> EngineError {
     EngineError::BacktraceError(format!("semiring query: {detail}"))
 }
 
@@ -71,12 +72,12 @@ pub fn row_range_error(index: usize, rows: usize) -> EngineError {
 }
 
 /// Error for a polynomial exceeding [`MAX_MONOMIALS`].
-pub fn poly_too_large() -> EngineError {
+fn poly_too_large() -> EngineError {
     semiring_parse_error(&format!("polynomial exceeds {MAX_MONOMIALS} monomials"))
 }
 
 /// Error for a probability query over too many variables.
-pub fn too_many_vars(vars: usize) -> EngineError {
+fn too_many_vars(vars: usize) -> EngineError {
     semiring_parse_error(&format!(
         "probability over {vars} variables exceeds the {MAX_PROB_VARS}-variable limit"
     ))
@@ -84,11 +85,11 @@ pub fn too_many_vars(vars: usize) -> EngineError {
 
 /// The deterministic probability of a variable, as a numerator over
 /// [`PROB_DENOM`]: `1 + (5·read + 3·index mod 15)`, i.e. never 0 or 1.
-pub fn var_probability((read_op, index): SemiringVar) -> u64 {
+fn var_probability((read_op, index): SemiringVar) -> u64 {
     1 + (5 * u64::from(read_op) + 3 * index as u64) % 15
 }
 
-/// A canonically expanded polynomial in N[X].
+/// A canonically expanded polynomial in `N[X]`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Polynomial {
     /// Monomial → coefficient; the map order is the render order.
@@ -187,7 +188,7 @@ impl Polynomial {
 
     /// Is the polynomial non-zero in the given world (boolean semiring:
     /// some monomial has all its variables present)?
-    pub fn true_in(&self, world: &[SemiringVar]) -> bool {
+    fn true_in(&self, world: &[SemiringVar]) -> bool {
         self.terms
             .keys()
             .any(|m| m.iter().all(|(v, _)| world.contains(v)))
@@ -348,7 +349,7 @@ pub fn probability_by(
 }
 
 /// Renders a reduced fraction: `0`, `1`, or `num/den`.
-pub fn render_fraction(num: u64, den: u64) -> String {
+fn render_fraction(num: u64, den: u64) -> String {
     if num == 0 {
         return "0".to_string();
     }

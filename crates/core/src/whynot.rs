@@ -47,7 +47,7 @@ pub struct Condition {
 /// Upper bound on the read→sink routes a why-not answer enumerates; DAGs
 /// past this are answered from the first `MAX_ROUTES` routes in
 /// deterministic DFS order.
-pub const MAX_ROUTES: usize = 64;
+const MAX_ROUTES: usize = 64;
 
 /// Constructs the (shared) error for an unparsable why-not question.
 /// Both the engine and the oracle reference answer malformed questions
@@ -127,7 +127,7 @@ pub struct Route {
 
 /// Enumerates every read→sink route of the program in deterministic DFS
 /// order (reads ascending, consumers ascending), capped at
-/// [`MAX_ROUTES`]. Shared between the engine and the oracle reference —
+/// `MAX_ROUTES` (64). Shared between the engine and the oracle reference —
 /// routes are program structure, not provenance computation.
 pub fn enumerate_routes(program: &Program) -> Vec<Route> {
     let consumers = program.consumers();
@@ -210,7 +210,14 @@ pub fn map_condition_back(run: &CapturedRun, oid: OpId, side: usize, path: &Path
                 return my_fields.contains(attr).then(|| path.clone());
             }
             // Right side: undo the clash renaming recorded in M, else
-            // identity for non-clashing right attributes.
+            // identity for non-clashing right attributes. A left output
+            // attribute keeps its name, so it never belongs to the right
+            // side, even when the right input has an attribute of that
+            // name (a self-join).
+            let left_fields = run.input_schema(oid, 0).fields().unwrap_or_default();
+            if left_fields.iter().any(|f| &f.name == attr) {
+                return None;
+            }
             if let Some(m) = run.op(oid).manipulated.as_deref() {
                 for (src, dst) in m {
                     if src != dst {
@@ -633,6 +640,32 @@ mod tests {
             "  candidate 0 reaches output rows [0] without matching the question"
         );
         assert_eq!(lines.len(), 6);
+    }
+
+    /// In `t ⋈ t` the right item's `v` comes out as `v_r`; a condition on
+    /// `v` names the left item's attribute and cannot be traced through
+    /// the right side.
+    #[test]
+    fn self_join_condition_maps_to_its_own_side() {
+        let mut b = ProgramBuilder::new();
+        let l = b.read("t");
+        let r = b.read("t");
+        let j = b.join(l, r, vec![(Path::parse("k"), Path::parse("k"))]);
+        let run = run_captured(&b.build(j), &ctx(), ExecConfig::with_partitions(2)).unwrap();
+        let v = Path::parse("v");
+        assert_eq!(map_condition_back(&run, j, 0, &v), Some(v.clone()));
+        assert_eq!(map_condition_back(&run, j, 1, &v), None);
+        assert_eq!(map_condition_back(&run, j, 1, &Path::parse("v_r")), Some(v));
+        let conds = parse_whynot_query("v=5").unwrap();
+        let lines = why_not(&run, &ctx(), &conds).unwrap().render(&run);
+        assert_eq!(lines[1], "route #0:t -> #2:join/0");
+        assert_eq!(
+            lines[2],
+            "  no candidate source items satisfy the traceable conditions"
+        );
+        assert_eq!(lines[3], "route #1:t -> #2:join/1");
+        assert_eq!(lines[4], "  candidates (0 traced conditions): [0,1,2]");
+        assert_eq!(lines.len(), 8);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! running serially, and no threads are spawned or joined per operator.
 //!
 //! **Determinism.** Morsel→logical-partition assignment is static: a morsel
-//! computes its output with a partition-local [`IdGen`] starting at
+//! computes its output with a partition-local `IdGen` starting at
 //! sequence 0, and the scheduler thread *stitches* morsel results back
 //! together in morsel order, adding each partition's running sequence
 //! offset to the produced identifiers. Identifiers, association tables,
@@ -67,7 +67,7 @@ pub type ItemId = u64;
 
 /// Deterministic identifier factory for one (operator, partition) pair.
 #[derive(Debug)]
-pub struct IdGen {
+struct IdGen {
     base: u64,
     seq: u32,
 }

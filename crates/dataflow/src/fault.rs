@@ -1,7 +1,7 @@
 //! Deterministic fault injection for testing the engine's containment.
 //!
 //! A test arms one [`FaultPlan`] process-wide; every executor kernel calls
-//! [`check`] at the top of its row loop and fails (typed error or panic,
+//! `check` at the top of its row loop and fails (typed error or panic,
 //! by [`FaultKind`]) when it is about to evaluate a matching row. This is
 //! how the panic-injection harness exercises the catch_unwind boundary of
 //! the scheduler's inline and pooled dispatch with the *same* failure, so

@@ -39,5 +39,5 @@ pub use pebble_obs::{ObsConfig, RunReport};
 pub use pool::WorkerPool;
 pub use program::{Operator, Program, ProgramBuilder};
 pub use runs::UnaryRuns;
-pub use sink::{NoSink, ProvenanceSink, Tee};
+pub use sink::{NoSink, ProvenanceSink};
 pub use spill::MemoryTracker;

@@ -52,7 +52,7 @@ impl NamedExpr {
 }
 
 /// Returns the name of the last attribute step of a path.
-pub fn last_attr_name(p: &Path) -> Option<String> {
+fn last_attr_name(p: &Path) -> Option<String> {
     p.steps().iter().rev().find_map(|s| match s {
         Step::Attr(n) => Some(n.clone()),
         _ => None,
@@ -110,7 +110,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// True for the collection-producing functions `A_B`.
-    pub fn is_nesting(self) -> bool {
+    fn is_nesting(self) -> bool {
         matches!(self, AggFunc::CollectList | AggFunc::CollectSet)
     }
 }

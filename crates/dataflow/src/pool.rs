@@ -112,7 +112,7 @@ impl WorkerPool {
     /// Enqueues a job; some worker will eventually run it. When no worker
     /// thread could be spawned, runs the job inline (contained) instead of
     /// queueing it forever.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+    fn submit(&self, job: impl FnOnce() + Send + 'static) {
         if self.live == 0 {
             // Degraded inline execution still maintains the gauges (the
             // caller thread briefly *is* the worker).
@@ -144,7 +144,8 @@ impl WorkerPool {
 
     /// Total jobs fully executed since the pool was created. Monotone
     /// non-decreasing; a job counts only after its delivery closure ran.
-    pub fn jobs_executed(&self) -> u64 {
+    #[cfg(test)]
+    fn jobs_executed(&self) -> u64 {
         self.queue.executed.load(Relaxed)
     }
 

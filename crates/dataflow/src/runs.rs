@@ -90,7 +90,7 @@ impl UnaryRuns {
 
     /// Appends the `len` pairs `⟨in_first + k, out_first + k⟩`, extending the
     /// last run when they continue it.
-    pub fn push_run(&mut self, in_first: ItemId, out_first: ItemId, len: u64) {
+    fn push_run(&mut self, in_first: ItemId, out_first: ItemId, len: u64) {
         if len == 0 {
             return;
         }

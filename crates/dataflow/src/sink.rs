@@ -48,43 +48,6 @@ impl ProvenanceSink for NoSink {
     const ENABLED: bool = false;
 }
 
-/// Forwards every association batch to two sinks.
-///
-/// Used to stream provenance to a secondary consumer (e.g. an on-disk
-/// segment writer) while the primary in-memory capture keeps recording:
-/// both observe the identical batch sequence, in the same order, on the
-/// same threads.
-pub struct Tee<'a, A, B>(pub &'a A, pub &'a B);
-
-impl<A: ProvenanceSink, B: ProvenanceSink> ProvenanceSink for Tee<'_, A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn read_batch(&self, op: OpId, ids: &[ItemId]) {
-        self.0.read_batch(op, ids);
-        self.1.read_batch(op, ids);
-    }
-
-    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
-        self.0.unary_runs(op, runs);
-        self.1.unary_runs(op, runs);
-    }
-
-    fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {
-        self.0.binary_batch(op, assoc);
-        self.1.binary_batch(op, assoc);
-    }
-
-    fn flatten_batch(&self, op: OpId, assoc: &[(ItemId, u32, ItemId)]) {
-        self.0.flatten_batch(op, assoc);
-        self.1.flatten_batch(op, assoc);
-    }
-
-    fn agg_batch(&self, op: OpId, assoc: Vec<(Vec<ItemId>, ItemId)>) {
-        self.0.agg_batch(op, assoc.clone());
-        self.1.agg_batch(op, assoc);
-    }
-}
-
 /// Estimated size in bytes of the association entries an operator records,
 /// derived from its Tab. 6 association shape and the run's row counts (one
 /// entry per output row; aggregation entries additionally carry the group's

@@ -19,7 +19,7 @@
 //!
 //! Spill files live in a per-run subdirectory of the system temp dir
 //! ([`base_dir`]; `TMPDIR` moves it) and are removed when the run's
-//! [`SpillDir`] drops. Every block is CRC-framed; a corrupt or truncated
+//! `SpillDir` drops. Every block is CRC-framed; a corrupt or truncated
 //! re-read surfaces as a typed [`EngineError::SpillError`] — never a
 //! panic, and never a message containing a filesystem path (spill paths
 //! are per-run, and failing runs are compared by their `Display`

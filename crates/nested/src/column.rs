@@ -85,7 +85,8 @@ impl SelectionVector {
     }
 
     /// Fraction of `total` rows selected (1.0 for an empty batch).
-    pub fn density(&self, total: usize) -> f64 {
+    #[cfg(test)]
+    fn density(&self, total: usize) -> f64 {
         if total == 0 {
             1.0
         } else {
@@ -126,7 +127,7 @@ pub enum ColumnData {
 
 impl ColumnData {
     /// Builds the best-specialized column for `values`.
-    pub fn from_values(values: Vec<Value>) -> ColumnData {
+    fn from_values(values: Vec<Value>) -> ColumnData {
         if values.is_empty() {
             return ColumnData::Mixed(values);
         }
@@ -206,7 +207,7 @@ impl ColumnData {
     /// The inverse of [`ColumnData::from_values`] without per-value deep
     /// clones: typed columns rewrap, list columns split their child by the
     /// stored offsets.
-    pub fn into_values(self) -> Vec<Value> {
+    fn into_values(self) -> Vec<Value> {
         match self {
             ColumnData::Int(v) => v.into_iter().map(Value::Int).collect(),
             ColumnData::Double(v) => v.into_iter().map(Value::Double).collect(),
@@ -362,11 +363,8 @@ impl ColumnBatch {
     ///
     /// `labels` must be distinct and `cols` must align with `labels`, each
     /// holding exactly `len` values.
-    pub fn from_dense_columns(
-        len: usize,
-        labels: Vec<Label>,
-        cols: Vec<Vec<Value>>,
-    ) -> ColumnBatch {
+    #[cfg(test)]
+    fn from_dense_columns(len: usize, labels: Vec<Label>, cols: Vec<Vec<Value>>) -> ColumnBatch {
         debug_assert_eq!(labels.len(), cols.len());
         debug_assert!(cols.iter().all(|c| c.len() == len));
         debug_assert!(labels
@@ -391,8 +389,8 @@ impl ColumnBatch {
         }
     }
 
-    /// Builds a batch of dense [`ColumnData::Mixed`] columns without the
-    /// type-specialization scans of [`ColumnBatch::from_dense_columns`].
+    /// Builds a batch of dense [`ColumnData::Mixed`] columns without any
+    /// type-specialization scan.
     /// The right constructor for batches that flow *between* pipeline
     /// stages and are consumed within the same unit: specialization would
     /// cost several full passes per column and buy nothing before the
@@ -431,8 +429,7 @@ impl ColumnBatch {
 
     /// Consumes an all-dense batch back into `(labels, columns)` with the
     /// exact row-order values — the inverse of
-    /// [`ColumnBatch::from_mixed_columns`] (and of
-    /// [`ColumnBatch::from_dense_columns`], modulo specialization).
+    /// [`ColumnBatch::from_mixed_columns`].
     ///
     /// Panics if any column is sparse (missing in some rows): such a batch
     /// has no dense column form.

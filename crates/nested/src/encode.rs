@@ -77,7 +77,7 @@ type FxBuild = BuildHasherDefault<FxHasher>;
 /// Maximum nesting depth accepted when decoding values or types. Valid
 /// pebble data is a handful of levels deep; the limit only exists so a
 /// corrupt byte stream cannot trigger unbounded recursion.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// A decoding failure: the input bytes do not form a valid encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,7 +139,7 @@ pub fn zigzag(v: i64) -> u64 {
 
 /// Inverse of [`zigzag`].
 #[inline]
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -281,12 +281,12 @@ pub fn take_frame<'a>(buf: &mut &'a [u8]) -> Result<(u8, &'a [u8]), CodecError> 
 }
 
 /// Appends an `f64` as its 8 little-endian IEEE-754 bytes.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 /// Reads an `f64` written by [`put_f64`].
-pub fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
+fn get_f64(buf: &mut &[u8]) -> Result<f64, CodecError> {
     if buf.len() < 8 {
         return err("unexpected end of input");
     }
@@ -330,7 +330,7 @@ pub fn get_ids_delta(buf: &mut &[u8]) -> Result<Vec<u64>, CodecError> {
 ///
 /// Interning is keyed by content (the wire format stores each distinct
 /// string once, in first-use order), with a pointer-keyed fast path for
-/// [`intern_arc`](StringTable::intern_arc): engine values share `Arc<str>`
+/// `intern_arc`: engine values share `Arc<str>`
 /// allocations heavily (labels are globally interned, strings are cloned
 /// by reference through every operator), so most lookups hit a one-word
 /// hash instead of re-hashing string content. Every pointer-cached `Arc`
@@ -384,7 +384,7 @@ impl StringTable {
     /// Interns a shared string, returning its dense id. Ids are assigned
     /// by content exactly as with [`intern`](StringTable::intern) — the
     /// pointer cache only skips re-hashing allocations seen before.
-    pub fn intern_arc(&mut self, s: &Arc<str>) -> u64 {
+    fn intern_arc(&mut self, s: &Arc<str>) -> u64 {
         let addr = arc_addr(s);
         if let Some(&id) = self.by_ptr.get(&addr) {
             return id;
@@ -529,7 +529,7 @@ const VAL_BAG: u8 = 7;
 const VAL_SET: u8 = 8;
 
 /// Appends a [`Value`], interning strings and labels into `table`.
-pub fn put_value(buf: &mut Vec<u8>, table: &mut StringTable, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, table: &mut StringTable, v: &Value) {
     match v {
         Value::Null => buf.push(VAL_NULL),
         Value::Bool(false) => buf.push(VAL_FALSE),
@@ -577,7 +577,8 @@ fn put_item_body(buf: &mut Vec<u8>, table: &mut StringTable, item: &DataItem) {
 }
 
 /// Reads a [`Value`] written by [`put_value`].
-pub fn get_value(buf: &mut &[u8], table: &StringDict) -> Result<Value, CodecError> {
+#[cfg(test)]
+fn get_value(buf: &mut &[u8], table: &StringDict) -> Result<Value, CodecError> {
     get_value_at(buf, table, 0)
 }
 

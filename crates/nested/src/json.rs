@@ -36,10 +36,10 @@ impl std::error::Error for JsonError {}
 /// Default nesting depth cap for [`parse`]. Deep enough for any real
 /// dataset, shallow enough that adversarial `[[[[…` input errors out long
 /// before the recursive-descent parser can exhaust the stack.
-pub const DEFAULT_MAX_DEPTH: usize = 128;
+const DEFAULT_MAX_DEPTH: usize = 128;
 
-/// Parses one JSON document into a [`Value`], capped at
-/// [`DEFAULT_MAX_DEPTH`] levels of object/array nesting.
+/// Parses one JSON document into a [`Value`], capped at 128 levels of
+/// object/array nesting.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     parse_with_depth(input, DEFAULT_MAX_DEPTH)
 }
@@ -48,7 +48,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 /// `max_depth` levels of objects/arrays with a [`JsonError`] instead of
 /// recursing (the parser descends once per level, so unbounded nesting
 /// would overflow the stack).
-pub fn parse_with_depth(input: &str, max_depth: usize) -> Result<Value, JsonError> {
+fn parse_with_depth(input: &str, max_depth: usize) -> Result<Value, JsonError> {
     let mut p = Parser {
         input,
         bytes: input.as_bytes(),

@@ -8,7 +8,7 @@
 //! * [`path`] — access paths `d.a[i].b` (Def. 4.3) and schema-level paths
 //!   with `[pos]` placeholders (Sec. 5.1);
 //! * [`label`] — interned attribute names shared across items;
-//! * [`column`] — column-major batches with selection vectors for the
+//! * [`mod@column`] — column-major batches with selection vectors for the
 //!   vectorized execution path;
 //! * [`encode`] — binary codec primitives (varints, delta-coded id
 //!   sequences, interned string tables, value/type codecs) shared by the

@@ -65,14 +65,6 @@ impl Value {
         }
     }
 
-    /// Mutable variant of [`Value::as_item`].
-    pub fn as_item_mut(&mut self) -> Option<&mut DataItem> {
-        match self {
-            Value::Item(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// Returns the elements if this is a bag or a set.
     pub fn as_collection(&self) -> Option<&[Value]> {
         match self {

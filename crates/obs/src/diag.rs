@@ -68,11 +68,6 @@ pub fn level() -> Level {
     }
 }
 
-/// Overrides the cached level (tests / embedders).
-pub fn set_level(lvl: Level) {
-    LEVEL.store(lvl as u8, Relaxed);
-}
-
 /// Emits one diagnostic record line-atomically: the whole record (prefix,
 /// message, trailing newline) is formatted first and handed to stderr as a
 /// single `write_all`, so records from concurrent threads never interleave

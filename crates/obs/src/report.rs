@@ -83,7 +83,7 @@ pub struct MorselStats {
 
 impl MorselStats {
     /// Mean rows per morsel (0.0 when none ran).
-    pub fn mean_rows(&self) -> f64 {
+    fn mean_rows(&self) -> f64 {
         if self.executed == 0 {
             0.0
         } else {
@@ -211,7 +211,7 @@ pub struct ColumnarStats {
 impl ColumnarStats {
     /// Fraction of filter-considered rows that survived (1.0 when no
     /// vectorized filter ran).
-    pub fn selection_density(&self) -> f64 {
+    fn selection_density(&self) -> f64 {
         if self.filter_in == 0 {
             1.0
         } else {

@@ -320,16 +320,6 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Completed requests per second over the snapshot's uptime (for a
-    /// windowed snapshot, over the window).
-    pub fn completed_per_sec(&self) -> f64 {
-        if self.uptime_ns == 0 {
-            0.0
-        } else {
-            self.total_completed() as f64 / (self.uptime_ns as f64 / 1e9)
-        }
-    }
-
     /// Renders the snapshot as the one-line versioned JSON document the
     /// `STATS` wire command returns. `pool` carries the serving pool's
     /// gauges (sampled lock-free by the caller).

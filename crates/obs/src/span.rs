@@ -108,7 +108,7 @@ impl SpanEvent {
     }
 
     /// Renders the span as one chrome://tracing complete event (`ph: "X"`).
-    pub fn to_chrome(&self) -> String {
+    fn to_chrome(&self) -> String {
         format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
              \"pid\":1,\"tid\":{},\"args\":{{\"op\":{},\"phase\":{},\"task\":{},\"rows\":{}}}}}",

@@ -16,7 +16,7 @@
 //! * [`diff`] — the **differential runner** comparing reference vs fused
 //!   vs unfused engine, capture on vs off, the shapes of
 //!   [`pebble_dataflow::ExecMatrix`], and sampled backtraces;
-//! * [`minimize`] — a greedy **failure minimizer** shrinking a diverging
+//! * [`mod@minimize`] — a greedy **failure minimizer** shrinking a diverging
 //!   case to a 1-minimal repro and emitting it as a ready-to-paste
 //!   regression test.
 //!

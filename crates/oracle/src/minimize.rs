@@ -1,9 +1,9 @@
 //! Greedy failure minimizer.
 //!
 //! Given a diverging `(pipeline, dataset, seed)` triple, [`minimize`]
-//! shrinks it while [`check`](crate::check) keeps reporting *some*
-//! divergence (classic delta-debugging acceptance — the divergence may
-//! shift as the case shrinks, any repro is a good repro):
+//! shrinks it while [`check`] keeps reporting *some* divergence (classic
+//! delta-debugging acceptance — the divergence may shift as the case
+//! shrinks, any repro is a good repro):
 //!
 //! 1. **operator removal** — drop one non-`read` operator at a time,
 //!    rewiring its consumers to its first input, then pruning operators no

@@ -7,9 +7,10 @@
 //! hand-pinned edge cases in the same form — each one picked because the
 //! construct historically differs between naive and optimized engines.
 
+use pebble_core::{backtrace, run_captured, PatternNode, TreePattern};
 use pebble_oracle::{
-    check, AggKind, CmpKind, ColSpec, DatasetSpec, Generated, LitSpec, OpSpec, PipelineSpec,
-    PredSpec,
+    check, generate, reference_config, AggKind, CmpKind, ColSpec, DatasetSpec, Generated, LitSpec,
+    OpSpec, PipelineSpec, PredSpec,
 };
 
 /// Flatten over an empty bag, a missing attribute, and a scalar mix:
@@ -173,4 +174,43 @@ fn oracle_pinned_empty_result() {
         spec,
     };
     assert_eq!(check(&gen), None);
+}
+
+/// Seed 288 is `tweets ⋈ tweets` on `user.verified`. The right tweet's
+/// `text` comes out as `text_r`, so a question on `text` names only the
+/// left tweet's text; the right tweet contributes nothing to it (it only
+/// influences through the join key).
+#[test]
+fn oracle_pinned_self_join_right_side_keeps_its_own_roots() {
+    let gen = generate(288);
+    assert_eq!(gen.spec.describe(), "read>read>join");
+    assert_eq!(check(&gen), None);
+    let run = run_captured(
+        &gen.spec.compile(),
+        &gen.dataset.context(),
+        reference_config(),
+    )
+    .unwrap();
+    let question = TreePattern::root()
+        .node(PatternNode::attr("text"))
+        .match_rows(&run.output.rows);
+    let sources = backtrace(&run, question).unwrap();
+    assert_eq!(sources.len(), 2);
+    for source in &sources {
+        let want: &[&str] = if source.read_op == 0 { &["text"] } else { &[] };
+        assert!(!source.entries.is_empty(), "read #{}", source.read_op);
+        for e in &source.entries {
+            let contributing: Vec<String> = e
+                .tree
+                .contributing_paths()
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            assert_eq!(
+                contributing, want,
+                "read #{} item {}",
+                source.read_op, e.index
+            );
+        }
+    }
 }

@@ -4,8 +4,7 @@
 //!
 //! * [`mod@segment`] — the versioned on-disk format: checksummed
 //!   length-prefixed blocks with run-length + delta encoded association
-//!   tables, plus a [`segment::SegmentSink`] that streams blocks during
-//!   execution;
+//!   tables;
 //! * [`mod@store`] — [`store::persist`] / [`store::ProvStore`]: lowering a
 //!   `CapturedRun` to bytes and cold-opening it as a read-only
 //!   [`pebble_core::ProvView`], so the unchanged backtracing algorithm
@@ -30,6 +29,5 @@ pub mod server;
 pub mod store;
 
 pub use error::StoreError;
-pub use segment::SegmentSink;
 pub use server::{query, query_with_id, ServeConfig, Server};
-pub use store::{naive_dump_bytes, persist, persist_file, persist_streamed, ProvStore};
+pub use store::{naive_dump_bytes, persist, persist_file, ProvStore};

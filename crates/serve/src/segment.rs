@@ -8,9 +8,9 @@
 //!
 //! Block payloads use the varint/zigzag/delta primitives of
 //! [`pebble_nested::encode`]. Association tables are split into
-//! per-operator `ASSOC` chunks; an operator may contribute *several*
-//! chunks (the streaming writer emits one per captured batch), which the
-//! loader concatenates in order. Identifier sequences are delta-encoded;
+//! per-operator `ASSOC` chunks. The writer emits one chunk per operator;
+//! the reader also accepts *several* chunks for one operator and
+//! concatenates them in order. Identifier sequences are delta-encoded;
 //! unary tables are additionally run-length encoded — a contiguous
 //! `⟨in+k, out+k⟩` range costs a handful of bytes regardless of length.
 //! The tokens are [`UnaryRuns`]' own runs, written and read without
@@ -20,16 +20,14 @@
 //! must be able to reject a future version with a typed error before it
 //! trusts anything else about the layout.
 
-use std::sync::Mutex;
-
 use pebble_core::{OperatorProvenance, ProvAssoc, UnaryRuns};
-use pebble_dataflow::{ItemId, OpId, ProvenanceSink};
+use pebble_dataflow::{ItemId, OpId};
 use pebble_nested::encode::{get_signed, get_u8, get_varint, put_signed, put_varint};
 
 use crate::error::StoreError;
 
 /// Magic bytes every segment starts with.
-pub const MAGIC: [u8; 4] = *b"PBSG";
+const MAGIC: [u8; 4] = *b"PBSG";
 /// Format version this crate writes and reads.
 pub const VERSION: u16 = 1;
 
@@ -166,7 +164,7 @@ impl<'a> BlockIter<'a> {
 // ---------------------------------------------------------------------------
 
 /// Encodes one chunk of a read table: `oid · tag 0 · ids (delta)`.
-pub fn chunk_read(op: OpId, ids: &[ItemId]) -> Vec<u8> {
+fn chunk_read(op: OpId, ids: &[ItemId]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ids.len() + 8);
     put_varint(&mut buf, op as u64);
     buf.push(0);
@@ -185,7 +183,7 @@ pub fn chunk_unary(op: OpId, runs: &UnaryRuns) -> Vec<u8> {
 }
 
 /// Encodes one chunk of a binary (join/union) table.
-pub fn chunk_binary(op: OpId, triples: &[(Option<ItemId>, Option<ItemId>, ItemId)]) -> Vec<u8> {
+fn chunk_binary(op: OpId, triples: &[(Option<ItemId>, Option<ItemId>, ItemId)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(triples.len() * 4 + 8);
     put_varint(&mut buf, op as u64);
     buf.push(2);
@@ -209,7 +207,7 @@ pub fn chunk_binary(op: OpId, triples: &[(Option<ItemId>, Option<ItemId>, ItemId
 }
 
 /// Encodes one chunk of a flatten table.
-pub fn chunk_flatten(op: OpId, triples: &[(ItemId, u32, ItemId)]) -> Vec<u8> {
+fn chunk_flatten(op: OpId, triples: &[(ItemId, u32, ItemId)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(triples.len() * 3 + 8);
     put_varint(&mut buf, op as u64);
     buf.push(3);
@@ -226,7 +224,7 @@ pub fn chunk_flatten(op: OpId, triples: &[(ItemId, u32, ItemId)]) -> Vec<u8> {
 }
 
 /// Encodes one chunk of an aggregation table.
-pub fn chunk_agg(op: OpId, groups: &[(Vec<ItemId>, ItemId)]) -> Vec<u8> {
+fn chunk_agg(op: OpId, groups: &[(Vec<ItemId>, ItemId)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(groups.len() * 4 + 8);
     put_varint(&mut buf, op as u64);
     buf.push(4);
@@ -240,8 +238,7 @@ pub fn chunk_agg(op: OpId, groups: &[(Vec<ItemId>, ItemId)]) -> Vec<u8> {
     buf
 }
 
-/// Encodes a whole association table as one chunk (the post-hoc persist
-/// path; the streaming sink produces the same data split across chunks).
+/// Encodes a whole association table as one chunk.
 pub fn chunk_table(op: &OperatorProvenance) -> Vec<u8> {
     match &op.assoc {
         ProvAssoc::Read(ids) => chunk_read(op.oid, ids),
@@ -346,60 +343,6 @@ pub fn apply_chunk(
         )));
     }
     Ok(())
-}
-
-/// A [`ProvenanceSink`] that streams association batches into framed
-/// `ASSOC` blocks as the run executes — the "CaptureSink flushes segments"
-/// path. Batches arrive in deterministic order (the scheduler emits them),
-/// so the produced block sequence is reproducible.
-///
-/// Combine with the in-memory capture via `pebble_core::run_captured_with`;
-/// the finished blocks slot between the static blocks written by
-/// `ProvStore::persist_parts`.
-#[derive(Default)]
-pub struct SegmentSink {
-    blocks: Mutex<Vec<u8>>,
-}
-
-impl SegmentSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The framed `ASSOC` blocks captured so far, draining the sink.
-    pub fn into_blocks(self) -> Vec<u8> {
-        self.blocks.into_inner().unwrap_or_default()
-    }
-
-    fn push(&self, payload: Vec<u8>) {
-        let mut blocks = self.blocks.lock().unwrap_or_else(|e| e.into_inner());
-        frame_block(&mut blocks, BLOCK_ASSOC, &payload);
-    }
-}
-
-impl ProvenanceSink for SegmentSink {
-    const ENABLED: bool = true;
-
-    fn read_batch(&self, op: OpId, ids: &[ItemId]) {
-        self.push(chunk_read(op, ids));
-    }
-
-    fn unary_runs(&self, op: OpId, runs: &UnaryRuns) {
-        self.push(chunk_unary(op, runs));
-    }
-
-    fn binary_batch(&self, op: OpId, assoc: &[(Option<ItemId>, Option<ItemId>, ItemId)]) {
-        self.push(chunk_binary(op, assoc));
-    }
-
-    fn flatten_batch(&self, op: OpId, assoc: &[(ItemId, u32, ItemId)]) {
-        self.push(chunk_flatten(op, assoc));
-    }
-
-    fn agg_batch(&self, op: OpId, assoc: Vec<(Vec<ItemId>, ItemId)>) {
-        self.push(chunk_agg(op, &assoc));
-    }
 }
 
 #[cfg(test)]
@@ -618,66 +561,5 @@ mod tests {
             apply_chunk(&chunk, &mut ops, 64),
             Err(StoreError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn streaming_sink_equals_posthoc_chunks() {
-        let sink = SegmentSink::new();
-        sink.unary_runs(2, &UnaryRuns::from_pairs([(10, 20), (11, 21)]));
-        sink.unary_runs(2, &UnaryRuns::run(12, 22, 5));
-        sink.read_batch(0, &[1, 2, 3]);
-        let blocks = sink.into_blocks();
-        // Decode the streamed blocks back through the block iterator.
-        let mut seg = segment_header();
-        seg.extend_from_slice(&blocks);
-        frame_block(&mut seg, BLOCK_END, &[]);
-        let mut ops = vec![
-            OperatorProvenance {
-                oid: 0,
-                op_type: "read".into(),
-                inputs: vec![],
-                manipulated: None,
-                assoc: ProvAssoc::Read(vec![]),
-            },
-            OperatorProvenance {
-                oid: 1,
-                op_type: "x".into(),
-                inputs: vec![],
-                manipulated: None,
-                assoc: ProvAssoc::Unary(UnaryRuns::new()),
-            },
-            OperatorProvenance {
-                oid: 2,
-                op_type: "filter".into(),
-                inputs: vec![],
-                manipulated: None,
-                assoc: ProvAssoc::Unary(UnaryRuns::new()),
-            },
-        ];
-        let mut it = BlockIter::parse(&seg).unwrap();
-        while let Some((ty, payload)) = it.next_block().unwrap() {
-            assert_eq!(ty, BLOCK_ASSOC);
-            apply_chunk(payload, &mut ops, seg.len()).unwrap();
-        }
-        match &ops[2].assoc {
-            ProvAssoc::Unary(v) => {
-                let expect: Vec<(u64, u64)> = vec![
-                    (10, 20),
-                    (11, 21),
-                    (12, 22),
-                    (13, 23),
-                    (14, 24),
-                    (15, 25),
-                    (16, 26),
-                ];
-                assert_eq!(v.pairs().collect::<Vec<_>>(), expect);
-                assert_eq!(v.run_count(), 1, "runs coalesce across chunks");
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match &ops[0].assoc {
-            ProvAssoc::Read(ids) => assert_eq!(*ids, vec![1, 2, 3]),
-            other => panic!("wrong kind: {other:?}"),
-        }
     }
 }

@@ -27,8 +27,8 @@ use crate::segment::{
     BLOCK_INDEX, BLOCK_META, BLOCK_OPAUX, BLOCK_ROWS, BLOCK_SCHEMAS,
 };
 
-/// Association-table kind tag persisted in the OPAUX block, so operators
-/// that streamed zero chunks still decode to a correctly-typed empty table.
+/// Association-table kind tag persisted in the OPAUX block, so every table
+/// has its kind before any `ASSOC` chunk for it is read.
 fn assoc_kind(assoc: &ProvAssoc) -> u8 {
     match assoc {
         ProvAssoc::Read(_) => 0,
@@ -238,18 +238,6 @@ fn encode_index(ops: &[OperatorProvenance], out: &mut Vec<u8>) {
     frame_block(out, BLOCK_INDEX, &payload);
 }
 
-fn encode_static(run: &CapturedRun, out: &mut Vec<u8>) {
-    encode_meta(run, out);
-    encode_schemas(run, out);
-    encode_opaux(run, out);
-}
-
-fn encode_tail(run: &CapturedRun, out: &mut Vec<u8>) {
-    encode_rows(&run.output.rows, out);
-    encode_index(&run.ops, out);
-    frame_block(out, BLOCK_END, &[]);
-}
-
 /// Runs `helper` on a scoped thread while the calling thread runs `main`,
 /// and returns both results. Both run inline on one CPU, and `helper` does
 /// when its thread cannot be spawned; a panic in it resumes on the caller.
@@ -273,16 +261,18 @@ fn beside<A: Send, B>(
     })
 }
 
-/// Serializes a captured run into segment bytes (post-hoc: association
-/// tables are chunked from the in-memory capture, one chunk per operator).
+/// Serializes a captured run into segment bytes, one `ASSOC` chunk per
+/// operator.
 ///
 /// Two tasks encode: the calling thread encodes `ROWS`, the largest block,
-/// while a helper encodes the blocks before it and those after it
-/// ([`beside`]); the parts are joined in file order.
+/// while a helper encodes the blocks before it and those after it; the
+/// parts are joined in file order.
 pub fn persist(run: &CapturedRun) -> Vec<u8> {
     let others = || {
         let mut head = segment_header();
-        encode_static(run, &mut head);
+        encode_meta(run, &mut head);
+        encode_schemas(run, &mut head);
+        encode_opaux(run, &mut head);
         for op in &run.ops {
             frame_block(&mut head, BLOCK_ASSOC, &chunk_table(op));
         }
@@ -301,17 +291,6 @@ pub fn persist(run: &CapturedRun) -> Vec<u8> {
     for part in [head, rows, tail] {
         out.extend_from_slice(&part);
     }
-    out
-}
-
-/// Serializes a captured run around association blocks that were streamed
-/// during execution by a [`crate::segment::SegmentSink`] (one chunk per
-/// captured batch). Decodes to the same store as [`persist`].
-pub fn persist_streamed(run: &CapturedRun, assoc_blocks: &[u8]) -> Vec<u8> {
-    let mut out = segment_header();
-    encode_static(run, &mut out);
-    out.extend_from_slice(assoc_blocks);
-    encode_tail(run, &mut out);
     out
 }
 
@@ -402,11 +381,10 @@ impl ProvStore {
     /// The framing is walked first. Then two tasks verify and decode the
     /// blocks, each block's checksum checked by the task that reads it: a
     /// helper takes every block but `ROWS`, in file order, and validates
-    /// the index orders, while the calling thread decodes `ROWS`
-    /// ([`beside`]). The error reported is the one of
-    /// the earliest failing block, as a serial walk would report it; a
-    /// framing error counts at its position, and the cross-block checks
-    /// come last.
+    /// the index orders, while the calling thread decodes `ROWS`. The error
+    /// reported is the one of the earliest failing block, as a serial walk
+    /// would report it; a framing error counts at its position, and the
+    /// cross-block checks come last.
     pub fn from_bytes(bytes: &[u8]) -> Result<ProvStore, StoreError> {
         let mut it = BlockIter::parse(bytes)?;
         let mut frames = Vec::new();

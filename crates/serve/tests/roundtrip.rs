@@ -1,20 +1,20 @@
 //! Persist → cold-open → query equality against the in-memory referee,
-//! across the executor matrix and both persist paths (post-hoc and
-//! streamed), plus a live query-service smoke.
+//! across the executor matrix and split association chunks, plus a live
+//! query-service smoke.
 
 use std::sync::Arc;
 
 use pebble_core::{
-    backtrace, canonical_provenance, run_captured, run_captured_with, Backtrace, CapturedRun,
+    backtrace, canonical_provenance, run_captured, Backtrace, CapturedRun, OperatorProvenance,
     ProvAssoc, ProvTree, UnaryRuns,
 };
-use pebble_dataflow::{Context, ExecConfig, NamedExpr, Program, ProgramBuilder};
+use pebble_dataflow::{Context, ExecConfig, NamedExpr, ProgramBuilder};
 use pebble_nested::encode::get_varint;
 use pebble_nested::{DataItem, Path, Value};
-use pebble_serve::segment::{BlockIter, BLOCK_INDEX};
-use pebble_serve::{
-    persist, persist_file, persist_streamed, query, ProvStore, SegmentSink, ServeConfig, Server,
+use pebble_serve::segment::{
+    chunk_table, frame_block, segment_header, BlockIter, BLOCK_ASSOC, BLOCK_END, BLOCK_INDEX,
 };
+use pebble_serve::{persist, persist_file, query, ProvStore, ServeConfig, Server};
 use pebble_workloads::{
     dblp_context, dblp_scenarios, running_example, twitter_context, twitter_scenarios,
 };
@@ -177,24 +177,128 @@ fn shuffled_tables_answer_like_the_engines() {
     assert!(traced > 900, "{traced} traced entries");
 }
 
+/// Cuts `n` entries into 1–4 consecutive pieces at seeded points; pieces
+/// may be empty.
+fn cut_points(n: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+    let mut cuts: Vec<usize> = (1..rng.gen_range(1..=4usize))
+        .map(|_| rng.gen_range(0..=n))
+        .collect();
+    cuts.sort_unstable();
+    cuts.push(n);
+    let mut start = 0;
+    cuts.into_iter()
+        .map(|end| {
+            let piece = (start, end);
+            start = end;
+            piece
+        })
+        .collect()
+}
+
+/// The entries `a..b` of an association table, as a table of its kind.
+fn piece(assoc: &ProvAssoc, (a, b): (usize, usize)) -> ProvAssoc {
+    match assoc {
+        ProvAssoc::Read(v) => ProvAssoc::Read(v[a..b].to_vec()),
+        ProvAssoc::Unary(v) => ProvAssoc::Unary(UnaryRuns::from_pairs(v.pairs().take(b).skip(a))),
+        ProvAssoc::Binary(v) => ProvAssoc::Binary(v[a..b].to_vec()),
+        ProvAssoc::Flatten(v) => ProvAssoc::Flatten(v[a..b].to_vec()),
+        ProvAssoc::Agg(v) => ProvAssoc::Agg(v[a..b].to_vec()),
+    }
+}
+
+/// A segment is input from outside the program, so the reader accepts an
+/// operator's table as several consecutive `ASSOC` chunks, though `persist`
+/// writes one. Over the ten scenarios, every table cut into 1–4 pieces
+/// at seeded points and framed one chunk per piece opens to the same
+/// tables, rows and answers as the one-chunk segment; a unary table's
+/// runs coalesce again across its chunks.
 #[test]
-fn streamed_segments_decode_like_posthoc_persist() {
-    let (program, ctx): (Program, Context) =
-        (running_example::program(), running_example::context());
-    for (parts, workers) in [(1, 1), (2, 2), (7, 7)] {
-        let config = ExecConfig::with_partitions(parts)
-            .workers(workers)
-            .morsel_rows(if workers > 1 { 2 } else { 0 });
-        let sink = SegmentSink::new();
-        let run = run_captured_with(&program, &ctx, config, &sink).unwrap();
-        let streamed = persist_streamed(&run, &sink.into_blocks());
-        let posthoc = persist(&run);
-        let a = ProvStore::from_bytes(&streamed).unwrap();
-        let b = ProvStore::from_bytes(&posthoc).unwrap();
-        let what = format!("streamed vs posthoc (p={parts}, w={workers})");
-        assert_eq!(a.ops(), b.ops(), "{what}");
-        assert_eq!(a.rows(), b.rows(), "{what}");
-        assert_store_equals_memory(&run, &a, &what);
+fn split_assoc_chunks_decode_like_one_chunk() {
+    let runs = twitter_scenarios()
+        .into_iter()
+        .map(|s| (s, twitter_context(120)))
+        .chain(dblp_scenarios().into_iter().map(|s| (s, dblp_context(120))));
+    let mut rng = StdRng::seed_from_u64(0xc4_0c5);
+    let kinds = ["read", "unary", "binary", "flatten", "aggregation"];
+    let mut split_tables = [0usize; 5];
+    for (scenario, ctx) in runs {
+        for parts in [1, 3] {
+            let what = format!("{} p={parts}", scenario.name);
+            let run =
+                run_captured(&scenario.program, &ctx, ExecConfig::with_partitions(parts)).unwrap();
+            let one_chunk = persist(&run);
+
+            let mut split = segment_header();
+            let mut blocks = BlockIter::parse(&one_chunk).unwrap();
+            let mut assoc_written = false;
+            while let Some((ty, payload)) = blocks.next_block().unwrap() {
+                if ty != BLOCK_ASSOC {
+                    frame_block(&mut split, ty, payload);
+                    continue;
+                }
+                if std::mem::replace(&mut assoc_written, true) {
+                    continue;
+                }
+                for op in &run.ops {
+                    let pieces = cut_points(op.assoc.len(), &mut rng);
+                    let kind = match op.assoc {
+                        ProvAssoc::Read(_) => 0,
+                        ProvAssoc::Unary(_) => 1,
+                        ProvAssoc::Binary(_) => 2,
+                        ProvAssoc::Flatten(_) => 3,
+                        ProvAssoc::Agg(_) => 4,
+                    };
+                    split_tables[kind] +=
+                        usize::from(pieces.iter().filter(|(a, b)| a < b).count() > 1);
+                    for range in pieces {
+                        let chunk = OperatorProvenance {
+                            oid: op.oid,
+                            op_type: op.op_type.clone(),
+                            inputs: vec![],
+                            manipulated: None,
+                            assoc: piece(&op.assoc, range),
+                        };
+                        frame_block(&mut split, BLOCK_ASSOC, &chunk_table(&chunk));
+                    }
+                }
+            }
+            frame_block(&mut split, BLOCK_END, &[]);
+
+            let want = ProvStore::from_bytes(&one_chunk).unwrap();
+            let got = ProvStore::from_bytes(&split).unwrap();
+            assert_eq!(got.ops(), want.ops(), "{what}: operator tables");
+            assert_eq!(got.rows(), want.rows(), "{what}: rows");
+            for (a, b) in got.ops().iter().zip(want.ops()) {
+                if let (ProvAssoc::Unary(x), ProvAssoc::Unary(y)) = (&a.assoc, &b.assoc) {
+                    assert_eq!(x.run_count(), y.run_count(), "{what}: op {} runs", b.oid);
+                }
+            }
+            let n = run.output.rows.len();
+            let questions = std::iter::once(scenario.query.match_rows(&run.output.rows)).chain(
+                (0..n)
+                    .step_by((n / 4).max(1))
+                    .map(|idx| whole_item(&run, idx)),
+            );
+            for (i, q) in questions.enumerate() {
+                assert_eq!(
+                    got.backtrace(q.clone()).unwrap(),
+                    want.backtrace(q).unwrap(),
+                    "{what}: question {i}"
+                );
+            }
+        }
+    }
+    let counts: Vec<String> = kinds
+        .iter()
+        .zip(split_tables)
+        .map(|(k, n)| format!("{k} {n}"))
+        .collect();
+    println!(
+        "tables split into 2+ non-empty chunks: {}",
+        counts.join(", ")
+    );
+    for (kind, n) in kinds.iter().zip(split_tables) {
+        assert!(n > 0, "no {kind} table was split across chunks");
     }
 }
 

@@ -15,7 +15,7 @@ use pebble_dataflow::Context;
 use pebble_nested::{DataItem, Value};
 
 /// The ten DBLP record types.
-pub const RECORD_TYPES: [&str; 10] = [
+const RECORD_TYPES: [&str; 10] = [
     "article",
     "inproceedings",
     "proceedings",

@@ -12,9 +12,6 @@ use pebble_dataflow::Context;
 use crate::dblp::{self, DblpConfig};
 use crate::twitter::{self, TwitterConfig};
 
-/// Source names registered by [`fuzz_twitter_context`].
-pub const TWITTER_SOURCES: [&str; 1] = ["tweets"];
-
 /// Source names registered by [`fuzz_dblp_context`].
 pub const DBLP_SOURCES: [&str; 3] = ["inproceedings", "proceedings", "persons"];
 

@@ -176,7 +176,7 @@ pub fn t3() -> Scenario {
 
 /// T4: associates all occurring hashtags with the authoring and mentioned
 /// users.
-pub fn t4() -> Scenario {
+fn t4() -> Scenario {
     let mut b = ProgramBuilder::new();
     // Branch A: hashtags with authoring users.
     let read1 = b.read("tweets");
@@ -428,7 +428,7 @@ pub fn d4() -> Scenario {
 
 /// D5: D4 extended with a UDF in `map` that returns the number of authors
 /// per proceeding.
-pub fn d5() -> Scenario {
+fn d5() -> Scenario {
     let mut b = ProgramBuilder::new();
     let inproc = b.read("inproceedings");
     let proc = b.read("proceedings");

@@ -56,7 +56,7 @@ pub fn user_id(k: usize) -> String {
 }
 
 /// User display name used by the generator.
-pub fn user_name(k: usize) -> String {
+fn user_name(k: usize) -> String {
     format!("User {k}")
 }
 

@@ -10,6 +10,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Documentation: every intra-doc link resolves, and public docs link only
+# public items. Only the pebble packages are documented; the vendored stubs
+# under vendor/ are not ours to lint (vendor/proptest has an ambiguous link).
+echo "==> cargo doc --no-deps (warnings are errors)"
+doc_pkgs=(-p pebble)
+for dir in crates/*/; do
+    doc_pkgs+=(-p "pebble-$(basename "$dir")")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${doc_pkgs[@]}"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
